@@ -91,9 +91,11 @@ func TestChaosTransientRecovery(t *testing.T) {
 	want := chaosBaseline(t)
 	for _, workers := range []int{1, 4} {
 		db, r, s := chaosOpen(t, workers, fault.Options{
-			Seed:               4001,
-			TransientReadRate:  0.10,
-			TransientWriteRate: 0.05,
+			Seed:              4001,
+			TransientReadRate: 0.10,
+			// The load issues only ~9 device writes, so the write rate
+			// must be high enough that the schedule injects some.
+			TransientWriteRate: 0.25,
 		})
 		for _, strat := range []Strategy{ScanStrategy, TreeStrategy, IndexStrategy} {
 			if err := db.DropCache(); err != nil {
@@ -164,10 +166,11 @@ func TestChaosMixedFaults(t *testing.T) {
 	}
 }
 
-// TestChaosIndexLossFallsBack marks index backing pages permanently lost
-// and asserts graceful degradation: tree and index joins fall back to the
-// nested loop over the intact heap files, record the downgrade, and still
-// return the exact baseline.
+// TestChaosIndexLossFallsBack marks the join index's backing pair page
+// permanently lost and asserts graceful degradation: the index-strategy
+// join falls back to the nested loop over the intact heap files, records
+// the downgrade, and still returns the exact baseline, while tree and scan
+// joins — which never read the pair file — run undegraded.
 func TestChaosIndexLossFallsBack(t *testing.T) {
 	want := chaosBaseline(t)
 	for _, workers := range []int{1, 4} {
@@ -179,29 +182,28 @@ func TestChaosIndexLossFallsBack(t *testing.T) {
 		if err := db.DropCache(); err != nil {
 			t.Fatal(err)
 		}
-		db.FaultDisk().LosePage(storage.PageID{File: r.IndexFileID(), Page: 0})
 		db.FaultDisk().LosePage(storage.PageID{File: ji.FileID(), Page: 0})
 
-		for _, strat := range []Strategy{TreeStrategy, IndexStrategy} {
-			ms, stats, err := db.Join(r, s, Overlaps(), strat)
-			if err != nil {
-				t.Fatalf("workers=%d %s: degradation failed: %v", workers, strat, err)
-			}
-			if stats.Downgrades != 1 {
-				t.Errorf("workers=%d %s: Downgrades = %d, want 1", workers, strat, stats.Downgrades)
-			}
-			if matchKey(ms) != matchKey(want) {
-				t.Fatalf("workers=%d %s: degraded result diverged (%d vs %d matches)",
-					workers, strat, len(ms), len(want))
-			}
+		ms, stats, err := db.Join(r, s, Overlaps(), IndexStrategy)
+		if err != nil {
+			t.Fatalf("workers=%d: degradation failed: %v", workers, err)
 		}
-		// The scan strategy never touched the lost index pages.
-		ms, stats, err := db.Join(r, s, Overlaps(), ScanStrategy)
-		if err != nil || stats.Downgrades != 0 {
-			t.Fatalf("workers=%d scan after index loss: err=%v downgrades=%d", workers, err, stats.Downgrades)
+		if stats.Downgrades != 1 {
+			t.Errorf("workers=%d: Downgrades = %d, want 1", workers, stats.Downgrades)
 		}
 		if matchKey(ms) != matchKey(want) {
-			t.Fatalf("workers=%d: scan diverged after index loss", workers)
+			t.Fatalf("workers=%d: degraded result diverged (%d vs %d matches)",
+				workers, len(ms), len(want))
+		}
+		for _, strat := range []Strategy{ScanStrategy, TreeStrategy} {
+			ms, stats, err := db.Join(r, s, Overlaps(), strat)
+			if err != nil || stats.Downgrades != 0 {
+				t.Fatalf("workers=%d %s after index loss: err=%v downgrades=%d",
+					workers, strat, err, stats.Downgrades)
+			}
+			if matchKey(ms) != matchKey(want) {
+				t.Fatalf("workers=%d: %s diverged after index loss", workers, strat)
+			}
 		}
 	}
 }
@@ -215,8 +217,12 @@ func TestChaosTornIndexPageDegrades(t *testing.T) {
 	if err := db.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	db.FaultDisk().TearPage(storage.PageID{File: s.IndexFileID(), Page: 0})
-	ms, stats, err := db.Join(r, s, Overlaps(), TreeStrategy)
+	ji, ok := db.joinIndexFor(r, s, Overlaps())
+	if !ok {
+		t.Fatal("join index missing")
+	}
+	db.FaultDisk().TearPage(storage.PageID{File: ji.FileID(), Page: 0})
+	ms, stats, err := db.Join(r, s, Overlaps(), IndexStrategy)
 	if err != nil {
 		t.Fatalf("degradation after torn index page failed: %v", err)
 	}
@@ -302,8 +308,8 @@ func TestChaosQueryTimeout(t *testing.T) {
 	if err := db.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	// Cold tree join: the index scrub alone needs several 2ms reads, so the
-	// 5ms budget cannot survive it.
+	// Cold tree join: the heap pages its descent touches need several 2ms
+	// reads, so the 5ms budget cannot survive it.
 	_, _, err = db.Join(r, s, Overlaps(), TreeStrategy)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)

@@ -172,12 +172,8 @@ func (db *Database) manifestLocked() wal.Manifest {
 	for _, name := range names {
 		c := db.collections[name]
 		m.Collections = append(m.Collections, wal.ManifestCollection{
-			NewCollection: wal.NewCollection{
-				Name:      c.name,
-				HeapFile:  c.rel.FileID(),
-				IndexFile: c.indexFile.File(),
-			},
-			CoveringLSN: c.lastLSN,
+			NewCollection: wal.NewCollection{Name: c.name, HeapFile: c.rel.FileID()},
+			CoveringLSN:   c.lastLSN,
 		})
 	}
 	keys := make([]string, 0, len(db.joinIndices))

@@ -2,10 +2,12 @@ package spatialjoin
 
 // Root-level checkpoint tests: bounded recovery skips work the checkpoint
 // proved durable, truncation reclaims the log without changing observable
-// state, the manifest lets clean reopens load persisted indices instead of
-// rebuilding them, and a fuzzy checkpoint runs safely alongside a writer.
+// state, R-trees rebuilt from the heap answer exactly like the scan, and a
+// fuzzy checkpoint runs safely alongside a writer.
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -20,6 +22,33 @@ func runSteps(t *testing.T, db *Database, steps []crashStep) crashModel {
 		}
 	}
 	return steps[len(steps)-1].model
+}
+
+// mustSelectAgree asserts tree selections on db return the byte-identical
+// answer of scan selections, windowed by every stored object of s (the
+// joins of every strategy are checked against the model by mustMatch).
+func mustSelectAgree(t *testing.T, db *Database, label string) {
+	t.Helper()
+	r, _ := db.Collection("r")
+	s, _ := db.Collection("s")
+	for id := 0; id < s.Len(); id++ {
+		window, _, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, _, err := db.Select(r, window, Overlaps(), ScanStrategy)
+		if err != nil {
+			t.Fatalf("%s: scan select: %v", label, err)
+		}
+		tree, _, err := db.Select(r, window, Overlaps(), TreeStrategy)
+		if err != nil {
+			t.Fatalf("%s: tree select: %v", label, err)
+		}
+		sort.Ints(tree)
+		if fmt.Sprint(tree) != fmt.Sprint(scan) {
+			t.Fatalf("%s: tree select by s[%d] = %v, scan = %v", label, id, tree, scan)
+		}
+	}
 }
 
 // mustMatch asserts db's observable state equals the model across all four
@@ -78,8 +107,8 @@ func TestCheckpointBoundsReopen(t *testing.T) {
 
 // TestCheckpointTruncatesLog checkpoints after the full workload and checks
 // truncation reclaims log pages, recovery starts above LSN 0, replays
-// nothing, and loads both collections' R-trees from the persisted index
-// files named in the manifest.
+// nothing, and rebuilds both collections' R-trees from the heap files named
+// in the manifest so that every strategy answers like the scan.
 func TestCheckpointTruncatesLog(t *testing.T) {
 	cfg := crashConfig(1, 1)
 	db, err := Open(cfg)
@@ -108,20 +137,18 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	if stats.RecordsReplayed != 0 {
 		t.Errorf("recovery replayed %d records after a quiescent checkpoint", stats.RecordsReplayed)
 	}
-	if stats.IndexRebuildsSkipped != 2 {
-		t.Errorf("IndexRebuildsSkipped = %d, want 2 (both collections trusted)", stats.IndexRebuildsSkipped)
-	}
 	if rdb.RecoveryInfo() != stats {
 		t.Error("RecoveryInfo does not echo the Reopen stats")
 	}
 	mustMatch(t, rdb, final, "post-truncation recovery")
+	mustSelectAgree(t, rdb, "post-truncation recovery")
 }
 
-// TestReopenRebuildsOnlyTouchedIndices inserts into one collection after
-// the checkpoint: replay touches that collection's files, so its R-tree is
-// rebuilt from the heap, while the untouched collection still fast-loads
-// from its persisted index file.
-func TestReopenRebuildsOnlyTouchedIndices(t *testing.T) {
+// TestReopenAfterPostCheckpointInsert inserts into one collection after
+// the checkpoint: replay touches only that collection's heap, and both
+// R-trees — the replayed and the untouched collection's — are rebuilt from
+// their heaps so that every strategy answers like the scan.
+func TestReopenAfterPostCheckpointInsert(t *testing.T) {
 	cfg := crashConfig(1, 1)
 	db, err := Open(cfg)
 	if err != nil {
@@ -145,10 +172,43 @@ func TestReopenRebuildsOnlyTouchedIndices(t *testing.T) {
 	if stats.RecordsReplayed == 0 {
 		t.Error("post-checkpoint insert was not replayed")
 	}
-	if stats.IndexRebuildsSkipped != 1 {
-		t.Errorf("IndexRebuildsSkipped = %d, want 1 (r touched, s trusted)", stats.IndexRebuildsSkipped)
+	mustMatch(t, rdb, final, "post-checkpoint recovery")
+	mustSelectAgree(t, rdb, "post-checkpoint recovery")
+}
+
+// TestReopenReplaysOneImagePerInsert recovers, without a checkpoint, a
+// device holding n committed inserts into a collection with no join index:
+// each insert's transaction logs exactly one page image — its heap page —
+// so replay applies n images and the collection comes back whole.
+func TestReopenReplaysOneImagePerInsert(t *testing.T) {
+	const n = 40
+	cfg := DefaultConfig()
+	cfg.WAL = true
+	cfg.WALGroupCommit = 1
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustMatch(t, rdb, final, "partial-trust recovery")
+	c, err := db.CreateCollection("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := c.Insert(crashRect(i), fmt.Sprintf("p%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rdb, stats, err := Reopen(cfg, db.Device())
+	if err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	if stats.RecordsReplayed != n {
+		t.Errorf("RecordsReplayed = %d, want %d (one heap image per insert)", stats.RecordsReplayed, n)
+	}
+	rc, ok := rdb.Collection("pts")
+	if !ok || rc.Len() != n {
+		t.Fatalf("recovered collection missing or short: ok=%v", ok)
+	}
 }
 
 // TestCheckpointConcurrentWithWriters runs the workload from one goroutine

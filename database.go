@@ -1,8 +1,9 @@
 package spatialjoin
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -181,19 +182,17 @@ func Open(cfg Config) (*Database, error) {
 func (db *Database) Metrics() *obs.Registry { return db.cfg.Metrics }
 
 // Collection is a named set of spatial objects, stored in a heap file and
-// indexed by an R-tree generalization tree. The R-tree itself is rebuilt
-// in memory, but every entry is also persisted to a backing index file on
-// the simulated disk: that file is what a tree-strategy query scrubs —
-// reads and checksum-verifies — before trusting the index, so a lost or
-// corrupted index page is detected (and triggers degradation to the scan
-// strategy) instead of silently shaping the result.
+// indexed by an R-tree generalization tree. The heap holds the only
+// on-disk copy of each object; the R-tree lives in memory, its entries
+// pointing at heap tuples, and Reopen rebuilds it from a heap scan. A
+// tree-strategy query reads the heap pages of the tuples it touches, each
+// checksum-verified by the buffer pool on every physical read.
 type Collection struct {
-	db        *Database
-	name      string
-	rel       *relation.Relation
-	table     join.Table
-	index     *rtree.Tree
-	indexFile *storage.HeapFile
+	db    *Database
+	name  string
+	rel   *relation.Relation
+	table join.Table
+	index *rtree.Tree
 	// lastLSN is the commit LSN of the newest transaction that touched the
 	// collection's files; checkpoints record it in the manifest. Guarded by
 	// db.mu.
@@ -237,18 +236,10 @@ func (db *Database) CreateCollection(name string) (*Collection, error) {
 		if err != nil {
 			return err
 		}
-		indexFile, err := storage.NewHeapFile(db.pool, db.cfg.FillFactor)
-		if err != nil {
-			return err
-		}
-		c = &Collection{db: db, name: name, rel: rel, table: table, index: index, indexFile: indexFile}
+		c = &Collection{db: db, name: name, rel: rel, table: table, index: index}
 		if db.wal != nil {
 			_, err = db.wal.AppendCatalog(txn, wal.RecNewCollection,
-				wal.EncodeNewCollection(wal.NewCollection{
-					Name:      name,
-					HeapFile:  rel.FileID(),
-					IndexFile: indexFile.File(),
-				}))
+				wal.EncodeNewCollection(wal.NewCollection{Name: name, HeapFile: rel.FileID()}))
 			return err
 		}
 		return nil
@@ -354,33 +345,34 @@ func (c *Collection) Pages() int { return c.rel.NumPages() }
 // IndexHeight returns the height of the collection's R-tree.
 func (c *Collection) IndexHeight() int { return c.index.Height() }
 
-// IndexFileID returns the disk file backing the collection's persisted
-// index entries — the pages a tree-strategy query scrubs before trusting
-// the R-tree. Chaos tests target these pages to simulate index loss.
-func (c *Collection) IndexFileID() storage.FileID { return c.indexFile.File() }
+// ErrInvalidGeometry is returned (wrapped) by Insert for a shape whose
+// bounds are not finite: an R-tree entry with a NaN or infinite MBR would
+// make tree-strategy answers diverge from the scan's.
+var ErrInvalidGeometry = errors.New("spatialjoin: invalid geometry")
 
-// appendIndexEntry persists one R-tree entry (tuple id + exact geometry) to
-// the collection's backing index file. Storing the full shape — not just
-// the MBR — lets a checkpoint-bounded recovery rebuild the R-tree from this
-// file alone, without re-scanning the heap: the tree's leaves feed exact
-// predicate evaluation, so an MBR-only entry would not be enough.
-func (c *Collection) appendIndexEntry(id int, shape Spatial) error {
-	var idb [8]byte
-	binary.LittleEndian.PutUint64(idb[0:], uint64(id))
-	rec := relation.EncodeGeometry(idb[:], shape)
-	_, err := c.indexFile.Append(rec)
-	return err
+// finiteRect reports whether every coordinate of r is neither NaN nor ±Inf.
+func finiteRect(r Rect) bool {
+	for _, v := range [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Insert stores the object with an arbitrary payload string and returns its
 // ID. Any precomputed join index involving this collection is maintained
 // incrementally — at the full cost the paper warns about. Under a WAL the
-// whole multi-page update (heap insert + R-tree entry + join-index
-// maintenance) is one transaction: a crash at any point leaves either all
-// of it or none of it.
+// whole multi-page update (heap insert + join-index maintenance) is one
+// transaction: a crash at any point leaves either all of it or none of it.
+// A nil shape, or one whose bounds are not finite (ErrInvalidGeometry), is
+// rejected before any transaction opens, leaving the database usable.
 func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
 	if shape == nil {
 		return 0, fmt.Errorf("spatialjoin: nil shape")
+	}
+	if b := shape.Bounds(); !finiteRect(b) {
+		return 0, fmt.Errorf("%w: bounds %v are not finite", ErrInvalidGeometry, b)
 	}
 	var id int
 	lsn, err := c.db.runTxn(func(uint64) error {
@@ -390,9 +382,6 @@ func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
 			return err
 		}
 		c.index.Insert(shape, id)
-		if err := c.appendIndexEntry(id, shape); err != nil {
-			return err
-		}
 		return c.db.maintainJoinIndices(c, id, shape)
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package spatialjoin
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -127,13 +126,11 @@ func (db *Database) checkUsable() error {
 // transaction, replays the page images of committed transactions — bounded
 // below by the last fuzzy checkpoint, whose dirty-page and
 // active-transaction tables prove which older images are already on the
-// device — and rebuilds the in-memory catalog (collections, R-trees, join
-// indices). Collections the checkpoint manifest vouches for, whose files
-// replay did not touch, load their R-trees straight from the persisted
-// index file instead of re-scanning the heap; Stats.IndexRebuildsSkipped
-// counts them. cfg must have WAL set and should otherwise match the crashed
-// instance's configuration. The device is used as-is — pass the crashed
-// database's Device() after rebooting any fault wrapper.
+// device — and rebuilds the in-memory catalog (collections, join indices),
+// each collection's R-tree from a scan of its heap. cfg must have WAL set
+// and should otherwise match the crashed instance's configuration. The
+// device is used as-is — pass the crashed database's Device() after
+// rebooting any fault wrapper.
 func Reopen(cfg Config, device storage.Device) (*Database, RecoveryStats, error) {
 	return reopenWith(cfg, device, false, 0)
 }
@@ -212,8 +209,7 @@ func reopenWith(cfg Config, device storage.Device, ignoreCheckpoints bool, apply
 	// registered, so a surviving record for a manifest object is a no-op.
 	if cp := res.Checkpoint; cp != nil {
 		for _, mc := range cp.Manifest.Collections {
-			if err := db.reopenCollection(mc.NewCollection, mc.CoveringLSN,
-				!res.TouchedFiles[mc.HeapFile] && !res.TouchedFiles[mc.IndexFile], &stats); err != nil {
+			if err := db.reopenCollection(mc.NewCollection, mc.CoveringLSN); err != nil {
 				return nil, stats, fmt.Errorf("spatialjoin: recovering collection %q: %w", mc.Name, err)
 			}
 		}
@@ -231,7 +227,7 @@ func reopenWith(cfg Config, device storage.Device, ignoreCheckpoints bool, apply
 			if err != nil {
 				return nil, stats, err
 			}
-			if err := db.reopenCollection(nc, rec.LSN, false, &stats); err != nil {
+			if err := db.reopenCollection(nc, rec.LSN); err != nil {
 				return nil, stats, fmt.Errorf("spatialjoin: recovering collection %q: %w", nc.Name, err)
 			}
 		case wal.RecNewJoinIndex:
@@ -282,14 +278,10 @@ func (db *Database) RetainWAL(lsn wal.LSN) {
 	}
 }
 
-// reopenCollection rebuilds one collection from its recovered files. When
-// trusted is set — the checkpoint manifest vouches for the collection and
-// replay wrote into neither of its files — the R-tree loads straight from
-// the persisted index file, whose entries carry the exact geometry in
-// insertion order; otherwise it is rebuilt from a heap scan (tuple IDs come
-// back in heap order, equal to insertion order for sequentially grown
-// collections). Both paths produce the identical tree.
-func (db *Database) reopenCollection(nc wal.NewCollection, lsn wal.LSN, trusted bool, stats *RecoveryStats) error {
+// reopenCollection rebuilds one collection from its recovered heap file,
+// re-inserting every tuple into a fresh R-tree (tuple IDs come back in heap
+// order, equal to insertion order for sequentially grown collections).
+func (db *Database) reopenCollection(nc wal.NewCollection, lsn wal.LSN) error {
 	if _, dup := db.collections[nc.Name]; dup {
 		return nil
 	}
@@ -309,16 +301,7 @@ func (db *Database) reopenCollection(nc wal.NewCollection, lsn wal.LSN, trusted 
 	if err != nil {
 		return err
 	}
-	indexFile, err := storage.OpenHeapFile(db.pool, nc.IndexFile, db.cfg.FillFactor)
-	if err != nil {
-		return err
-	}
-	if trusted {
-		if err := loadIndexEntries(indexFile, index); err != nil {
-			return err
-		}
-		stats.IndexRebuildsSkipped++
-	} else if err := rel.Scan(func(id int, t relation.Tuple) (bool, error) {
+	if err := rel.Scan(func(id int, t relation.Tuple) (bool, error) {
 		shape, err := rel.Schema().SpatialValue(t, 1)
 		if err != nil {
 			return false, err
@@ -329,37 +312,9 @@ func (db *Database) reopenCollection(nc wal.NewCollection, lsn wal.LSN, trusted 
 		return err
 	}
 	db.collections[nc.Name] = &Collection{
-		db: db, name: nc.Name, rel: rel, table: table, index: index, indexFile: indexFile,
-		lastLSN: lsn,
+		db: db, name: nc.Name, rel: rel, table: table, index: index, lastLSN: lsn,
 	}
 	return nil
-}
-
-// loadIndexEntries replays a persisted index file — [u64 id][geometry]
-// records in insertion order — into a fresh R-tree.
-func loadIndexEntries(indexFile *storage.HeapFile, index *rtree.Tree) error {
-	var scanErr error
-	if err := indexFile.Scan(func(_ storage.RID, rec []byte) bool {
-		if len(rec) < 8 {
-			scanErr = fmt.Errorf("spatialjoin: index entry of %d bytes, want >= 8", len(rec))
-			return false
-		}
-		id := int(binary.LittleEndian.Uint64(rec[0:]))
-		shape, n, err := relation.DecodeGeometry(rec[8:])
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if 8+n != len(rec) {
-			scanErr = fmt.Errorf("spatialjoin: index entry has %d trailing bytes", len(rec)-8-n)
-			return false
-		}
-		index.Insert(shape, id)
-		return true
-	}); err != nil {
-		return err
-	}
-	return scanErr
 }
 
 // reopenJoinIndex rebuilds one join index by replaying its recovered pair

@@ -57,15 +57,11 @@ func endExec(trace *obs.Trace, span obs.SpanID, stats Stats, err error) {
 	)
 }
 
-// NestedLoop computes R ⋈θ S by the paper's strategy I with the default
-// single worker. See NestedLoopWorkers.
-func NestedLoop(r, s Table, op pred.Operator) ([]core.Match, Stats, error) {
-	return NestedLoopWorkers(r, s, op, 1)
-}
-
-// NestedLoopWorkers computes R ⋈θ S by the paper's strategy I: blocks of R
+// NestedLoop computes R ⋈θ S by the paper's strategy I: blocks of R
 // filling most of main memory (M−10 pages worth of tuples), each scanned
-// against the whole of S. Both tables must share one buffer pool.
+// against the whole of S. Both tables must share one buffer pool. The
+// context is checked between blocks and every ctxStride S-tuples inside a
+// scan.
 //
 // With workers > 1 (≤ 0 meaning GOMAXPROCS) each block's scan of S is split
 // into contiguous tuple-ID chunks fanned out over a worker pool; per-worker
@@ -74,13 +70,7 @@ func NestedLoop(r, s Table, op pred.Operator) ([]core.Match, Stats, error) {
 // measured across the whole join on the shared pool; with concurrent
 // workers the LRU interleaving — and therefore the exact miss count — can
 // differ from the sequential schedule.
-func NestedLoopWorkers(r, s Table, op pred.Operator, workers int) ([]core.Match, Stats, error) {
-	return NestedLoopCtx(context.Background(), r, s, op, workers)
-}
-
-// NestedLoopCtx is NestedLoopWorkers bounded by a context, checked between
-// blocks and every ctxStride S-tuples inside a scan.
-func NestedLoopCtx(ctx context.Context, r, s Table, op pred.Operator, workers int) ([]core.Match, Stats, error) {
+func NestedLoop(ctx context.Context, r, s Table, op pred.Operator, workers int) ([]core.Match, Stats, error) {
 	if r.Pool != s.Pool {
 		return nil, Stats{}, fmt.Errorf("join: nested loop requires a shared buffer pool")
 	}
@@ -220,14 +210,9 @@ func NestedLoopCtx(ctx context.Context, r, s Table, op pred.Operator, workers in
 }
 
 // ExhaustiveSelect computes the spatial selection {a ∈ R | o θ a} by a full
-// scan — the degenerate strategy I of §4.3.
-func ExhaustiveSelect(r Table, o geom.Spatial, op pred.Operator) ([]int, Stats, error) {
-	return ExhaustiveSelectCtx(context.Background(), r, o, op)
-}
-
-// ExhaustiveSelectCtx is ExhaustiveSelect bounded by a context, checked
-// every ctxStride tuples.
-func ExhaustiveSelectCtx(ctx context.Context, r Table, o geom.Spatial, op pred.Operator) ([]int, Stats, error) {
+// scan — the degenerate strategy I of §4.3 — checking the context every
+// ctxStride tuples.
+func ExhaustiveSelect(ctx context.Context, r Table, o geom.Spatial, op pred.Operator) ([]int, Stats, error) {
 	trace, span, ctx := execSpan(ctx, "scan")
 	var stats Stats
 	var out []int
@@ -256,14 +241,8 @@ func ExhaustiveSelectCtx(ctx context.Context, r Table, o geom.Spatial, op pred.O
 // generalization tree tr, charging one page access per tuple-bearing node
 // examined (the tree nodes "contain the complete tuples", §4.1, so touching
 // a node means reading its tuple's page). Technical index nodes are free.
-func TreeSelect(tr core.Tree, r Table, o geom.Spatial, op pred.Operator,
-	traversal core.Traversal) ([]int, Stats, error) {
-	return TreeSelectCtx(context.Background(), tr, r, o, op, traversal)
-}
-
-// TreeSelectCtx is TreeSelect bounded by a context, checked during the
-// descent per core.SelectOptions.Ctx.
-func TreeSelectCtx(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op pred.Operator,
+// The context is checked during the descent per core.SelectOptions.Ctx.
+func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op pred.Operator,
 	traversal core.Traversal) ([]int, Stats, error) {
 
 	trace, span, ctx := execSpan(ctx, "treeselect")
@@ -302,28 +281,16 @@ func TreeSelectCtx(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, o
 	return res.Tuples, stats, nil
 }
 
-// TreeJoin computes R ⋈θ S with algorithm JOIN over two generalization
-// trees with the default single worker. See TreeJoinWorkers.
-func TreeJoin(trR core.Tree, r Table, trS core.Tree, s Table,
-	op pred.Operator) ([]core.Match, Stats, error) {
-	return TreeJoinWorkers(trR, r, trS, s, op, 1)
-}
-
-// TreeJoinWorkers computes R ⋈θ S with algorithm JOIN over two
+// TreeJoin computes R ⋈θ S with algorithm JOIN over two
 // generalization trees, charging page accesses for tuple-bearing node
 // examinations on either side. With workers > 1 (≤ 0 meaning GOMAXPROCS)
 // each QualPairs level of the synchronized descent is expanded by a worker
 // pool; predicate counts and the match set are identical to the sequential
 // descent, while measured page reads can differ slightly because
-// concurrent workers interleave their fetches on the shared LRU pool.
-func TreeJoinWorkers(trR core.Tree, r Table, trS core.Tree, s Table,
-	op pred.Operator, workers int) ([]core.Match, Stats, error) {
-	return TreeJoinCtx(context.Background(), trR, r, trS, s, op, workers)
-}
-
-// TreeJoinCtx is TreeJoinWorkers bounded by a context, checked during the
-// synchronized descent per core.JoinOptions.Ctx.
-func TreeJoinCtx(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Table,
+// concurrent workers interleave their fetches on the shared LRU pool. The
+// context is checked during the synchronized descent per
+// core.JoinOptions.Ctx.
+func TreeJoin(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Table,
 	op pred.Operator, workers int) ([]core.Match, Stats, error) {
 
 	trace, span, ctx := execSpan(ctx, "treejoin")
@@ -416,26 +383,15 @@ func BuildIndex(r, s Table, op pred.Operator, order int) (*joinindex.Index, Stat
 	return ix, stats, err
 }
 
-// IndexJoin computes the join from a precomputed index with the default
-// single worker. See IndexJoinWorkers.
-func IndexJoin(ix *joinindex.Index, r, s Table) ([]core.Match, Stats, error) {
-	return IndexJoinWorkers(ix, r, s, 1)
-}
-
-// IndexJoinWorkers computes the join from a precomputed index: read the
+// IndexJoin computes the join from a precomputed index: read the
 // pairs and fetch the corresponding tuples — no predicate evaluations at
 // all. Index pages are charged per the B+-tree's fill (|J|/z), plus the
 // tuple fetches through the buffer pool. With workers > 1 (≤ 0 meaning
 // GOMAXPROCS) the pair list is read sequentially from the B+-tree and the
 // tuple probes are fanned out over contiguous chunks of it; the pair list
-// itself is already in canonical (R, S) order.
-func IndexJoinWorkers(ix *joinindex.Index, r, s Table, workers int) ([]core.Match, Stats, error) {
-	return IndexJoinCtx(context.Background(), ix, r, s, workers)
-}
-
-// IndexJoinCtx is IndexJoinWorkers bounded by a context, checked between
-// probe chunks and every ctxStride pairs inside a chunk.
-func IndexJoinCtx(ctx context.Context, ix *joinindex.Index, r, s Table, workers int) ([]core.Match, Stats, error) {
+// itself is already in canonical (R, S) order. The context is checked
+// between probe chunks and every ctxStride pairs inside a chunk.
+func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int) ([]core.Match, Stats, error) {
 	trace, span, ctx := execSpan(ctx, "indexjoin")
 	var stats Stats
 	pools := []*poolDelta{newPoolDelta(r.Pool)}

@@ -236,17 +236,3 @@ func appendFloat(buf []byte, f float64) []byte {
 func readFloat(b []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
-
-// EncodeGeometry appends the canonical tagged encoding of s — the same
-// bytes a TypeGeometry column stores inside heap tuples. Persisted index
-// files reuse it so a recovered R-tree can be reloaded from the exact
-// shapes that were indexed, not a lossy MBR summary.
-func EncodeGeometry(buf []byte, s geom.Spatial) []byte {
-	return appendGeometry(buf, s)
-}
-
-// DecodeGeometry reads one tagged geometry value produced by
-// EncodeGeometry, returning it and the bytes consumed.
-func DecodeGeometry(rec []byte) (geom.Spatial, int, error) {
-	return decodeGeometry(rec)
-}

@@ -21,7 +21,7 @@ import (
 func TestAdmissionControlShedsExcessQueries(t *testing.T) {
 	db, r, s := newServerDB(t, false, func(c *spatialjoin.Config) {
 		c.Workers = 1
-		c.Fault = &fault.Options{Seed: 4600, ReadLatency: 10 * time.Millisecond}
+		c.Fault = &fault.Options{Seed: 4600, ReadLatency: 20 * time.Millisecond}
 	})
 	want, _, err := db.Join(r, s, spatialjoin.Overlaps(), spatialjoin.ScanStrategy)
 	if err != nil {
@@ -96,14 +96,15 @@ func TestAdmissionControlShedsExcessQueries(t *testing.T) {
 		t.Errorf("queries_total{join,ok} = %d, want 1", got)
 	}
 	// Shed queries never reach the engine, so only the admitted one is in
-	// the latency histogram.
+	// the latency histogram. Its goroutine observes the latency just after
+	// writing DONE and then releases the slot, so wait for the release.
+	waitFor(t, "slot released", func() bool { return activeQ.Value() == 0 })
 	if n := reg.Histogram("spatialjoin_server_query_seconds", "", nil).Count(); n != 1 {
 		t.Errorf("latency histogram count = %d, want 1", n)
 	}
 
 	// With the slot free the same connection is served again (cache is
 	// warm now, so this is fast).
-	waitFor(t, "slot released", func() bool { return activeQ.Value() == 0 })
 	res, err := cli.Join(ctx, "r", "s", wire.Overlaps(), wire.StrategyScan)
 	if err != nil || res.Status != wire.StatusOK {
 		t.Fatalf("join after slot freed: %v, %+v", err, res)

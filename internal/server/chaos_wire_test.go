@@ -75,8 +75,8 @@ func TestWireChaosTransientInvisible(t *testing.T) {
 	}
 }
 
-// TestWireChaosIndexLossDegrades marks the outer collection's index
-// backing page permanently lost: a tree join over the wire must answer
+// TestWireChaosIndexLossDegrades marks the join index's backing pair page
+// permanently lost: an index-strategy join over the wire must answer
 // StatusDegraded carrying the exact baseline (computed by fallback over
 // the intact heaps) with the downgrade visible in the Done stats, while a
 // scan join — which never touches the lost page — stays StatusOK.
@@ -84,6 +84,10 @@ func TestWireChaosIndexLossDegrades(t *testing.T) {
 	db, r, s := newServerDB(t, false, func(c *spatialjoin.Config) {
 		c.Fault = &fault.Options{Seed: 4200}
 	})
+	ji, _, err := db.BuildJoinIndex(r, s, spatialjoin.Overlaps())
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, _, err := db.Join(r, s, spatialjoin.Overlaps(), spatialjoin.ScanStrategy)
 	if err != nil {
 		t.Fatal(err)
@@ -91,19 +95,19 @@ func TestWireChaosIndexLossDegrades(t *testing.T) {
 	if err := db.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	db.FaultDisk().LosePage(storage.PageID{File: r.IndexFileID(), Page: 0})
+	db.FaultDisk().LosePage(storage.PageID{File: ji.FileID(), Page: 0})
 
 	reg := obs.NewRegistry()
 	_, addr := startServer(t, db, server.Options{Metrics: reg})
 	cli := dialClient(t, addr)
 	ctx := context.Background()
 
-	res, err := cli.Join(ctx, "r", "s", wire.Overlaps(), wire.StrategyTree)
+	res, err := cli.Join(ctx, "r", "s", wire.Overlaps(), wire.StrategyIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != wire.StatusDegraded {
-		t.Fatalf("tree join after index loss: status %s (%s), want degraded", res.Status, res.Message)
+		t.Fatalf("index join after index loss: status %s (%s), want degraded", res.Status, res.Message)
 	}
 	if res.Flags&wire.FlagShed != 0 {
 		t.Error("degraded query carries FlagShed; it was executed")
@@ -114,7 +118,7 @@ func TestWireChaosIndexLossDegrades(t *testing.T) {
 	if res.Err() != nil {
 		t.Errorf("degraded results are exact; Err() = %v, want nil", res.Err())
 	}
-	assertSameMatches(t, "degraded tree join", res.Matches, want)
+	assertSameMatches(t, "degraded index join", res.Matches, want)
 
 	res, err = cli.Join(ctx, "r", "s", wire.Overlaps(), wire.StrategyScan)
 	if err != nil {

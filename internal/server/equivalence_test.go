@@ -99,7 +99,11 @@ func TestWireEquivalence(t *testing.T) {
 			}
 
 			// Exact outcome accounting: every query finished OK, nothing
-			// was shed, and the latency histogram saw each one.
+			// was shed, and the latency histogram saw each one. A query
+			// goroutine observes its latency and releases its active slot
+			// just after writing DONE, so let the last ones settle first.
+			activeQ := reg.Gauge("spatialjoin_server_active_queries", "")
+			waitFor(t, "query goroutines to finish", func() bool { return activeQ.Value() == 0 })
 			total := int64(clients * perClient)
 			joins := queriesTotal(reg, "join", wire.StatusOK)
 			sels := queriesTotal(reg, "select", wire.StatusOK)
@@ -114,9 +118,6 @@ func TestWireEquivalence(t *testing.T) {
 			}
 			if got := reg.Counter("spatialjoin_server_connections_total", "").Value(); got != clients {
 				t.Errorf("connections_total = %d, want %d", got, clients)
-			}
-			if q := reg.Gauge("spatialjoin_server_active_queries", "").Value(); q != 0 {
-				t.Errorf("active_queries settled at %d, want 0", q)
 			}
 		})
 	}

@@ -230,10 +230,14 @@ func New(db *spatialjoin.Database, opts Options) *Server {
 // ErrServerClosed after a shutdown, or the first fatal Accept error.
 // Multiple Serve calls on different listeners are allowed.
 func (s *Server) Serve(ln net.Listener) error {
+	// Check and register under one lock: Shutdown sets draining before it
+	// takes s.mu to close listeners, so either it sees ln or Serve sees
+	// draining — never neither.
+	s.mu.Lock()
 	if s.draining.Load() {
+		s.mu.Unlock()
 		return ErrServerClosed
 	}
-	s.mu.Lock()
 	s.listeners[ln] = struct{}{}
 	s.mu.Unlock()
 	defer func() {

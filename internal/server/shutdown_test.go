@@ -24,7 +24,7 @@ func TestShutdownDrainsInFlightAndLeaksNothing(t *testing.T) {
 
 	db, r, s := newServerDB(t, false, func(c *spatialjoin.Config) {
 		c.Workers = 1
-		c.Fault = &fault.Options{Seed: 4400, ReadLatency: 10 * time.Millisecond}
+		c.Fault = &fault.Options{Seed: 4400, ReadLatency: 25 * time.Millisecond}
 	})
 	// Ground truth while the cache is warm (reads never hit the slow
 	// device), then drop it so the in-flight query is genuinely slow.
@@ -53,8 +53,9 @@ func TestShutdownDrainsInFlightAndLeaksNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A cold tree join over the 4ms-latency device: slow enough that the
-	// whole drain choreography below happens while it is in flight.
+	// A cold tree join over the 25ms-latency device (6 heap-page reads,
+	// ~150ms): slow enough that the whole drain choreography below happens
+	// while it is in flight.
 	type joinReply struct {
 		res *wire.Result
 		err error
@@ -179,5 +180,50 @@ func TestShutdownDeadlineForcesExit(t *testing.T) {
 	_ = cli.Close()
 	if after := settledGoroutines(); after > before {
 		t.Errorf("goroutines leaked: %d before, %d after forced shutdown", before, after)
+	}
+}
+
+// TestServeShutdownRace starts Serve and Shutdown at the same instant many
+// times over. Whichever wins, Serve must return ErrServerClosed promptly: a
+// Shutdown that slips between Serve's drain check and its listener
+// registration would otherwise close no listener and leave Serve accepting
+// forever.
+func TestServeShutdownRace(t *testing.T) {
+	db, err := spatialjoin.Open(spatialjoin.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(db, server.Options{})
+		start := make(chan struct{})
+		serveDone := make(chan error, 1)
+		go func() {
+			<-start
+			serveDone <- srv.Serve(ln)
+		}()
+		shutdownDone := make(chan error, 1)
+		go func() {
+			<-start
+			shutdownDone <- srv.Shutdown(context.Background())
+		}()
+		close(start)
+		if err := <-shutdownDone; err != nil {
+			t.Fatalf("iteration %d: Shutdown: %v", i, err)
+		}
+		select {
+		case err := <-serveDone:
+			if err != server.ErrServerClosed {
+				t.Fatalf("iteration %d: Serve returned %v, want ErrServerClosed", i, err)
+			}
+		case <-time.After(2 * time.Second):
+			_ = ln.Close() // unblock the stranded accept loop
+			<-serveDone
+			t.Fatalf("iteration %d: Serve still accepting 2s after Shutdown returned", i)
+		}
+		_ = ln.Close()
 	}
 }

@@ -93,11 +93,15 @@ func (h *HeapFile) Append(rec []byte) (RID, error) {
 			return RID{}, err
 		}
 		if h.usedPayload(p)+len(rec)+slotSize <= h.budget() && p.FreeSpace() >= len(rec) {
+			// Mark the frame dirty before touching its bytes: under a WAL
+			// that makes it unlogged, so a concurrent checkpoint flush
+			// (FlushOneDirty) skips it instead of copying a half-written
+			// page to the device.
+			if err := h.pool.MarkDirty(h.lastPage); err != nil {
+				return RID{}, err
+			}
 			slot, err := p.Insert(rec)
 			if err == nil {
-				if err := h.pool.MarkDirty(h.lastPage); err != nil {
-					return RID{}, err
-				}
 				h.numRecords++
 				return RID{Page: h.lastPage, Slot: int32(slot)}, nil
 			}

@@ -367,3 +367,61 @@ func TestOpenHeapFileSkipsUninitializedPages(t *testing.T) {
 		t.Errorf("scan after reopen saw %d records, want %d", n, len(rids)+1)
 	}
 }
+
+// TestAppendRacesCheckpointFlush appends to a heap file while another
+// goroutine sweeps FlushOneDirty, as a fuzzy checkpoint does beside a
+// writer. Under -race it proves the no-steal handoff: Append marks the
+// frame unlogged before mutating it, so the flusher never copies a page
+// whose bytes are changing.
+func TestAppendRacesCheckpointFlush(t *testing.T) {
+	bp, err := NewBufferPool(NewDisk(256), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.SetWAL(&fakeWAL{durable: 1 << 30})
+	h, err := NewHeapFile(bp, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			prev := PageID{File: -1, Page: -1}
+			for {
+				id, ok, err := bp.FlushOneDirty(prev)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !ok {
+					break
+				}
+				prev = id
+			}
+		}
+	}()
+	rec := make([]byte, 8)
+	for i := 1; i <= 2000; i++ {
+		if _, err := h.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		// Commit: the transaction layer logs the write set and releases it.
+		for _, id := range bp.UnloggedDirtyPages() {
+			if err := bp.SetPageLSN(id, int64(i), int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -14,9 +14,8 @@ import (
 
 // NewCollection is the decoded payload of a RecNewCollection record.
 type NewCollection struct {
-	Name      string
-	HeapFile  storage.FileID
-	IndexFile storage.FileID
+	Name     string
+	HeapFile storage.FileID
 }
 
 // NewJoinIndex is the decoded payload of a RecNewJoinIndex record.
@@ -58,9 +57,7 @@ func getFile(buf []byte) (storage.FileID, []byte, error) {
 
 // EncodeNewCollection serializes a collection registration.
 func EncodeNewCollection(c NewCollection) []byte {
-	buf := putString(nil, c.Name)
-	buf = putFile(buf, c.HeapFile)
-	return putFile(buf, c.IndexFile)
+	return putFile(putString(nil, c.Name), c.HeapFile)
 }
 
 // DecodeNewCollection parses a RecNewCollection payload.
@@ -70,10 +67,7 @@ func DecodeNewCollection(data []byte) (NewCollection, error) {
 	if c.Name, data, err = getString(data); err != nil {
 		return c, err
 	}
-	if c.HeapFile, data, err = getFile(data); err != nil {
-		return c, err
-	}
-	if c.IndexFile, _, err = getFile(data); err != nil {
+	if c.HeapFile, _, err = getFile(data); err != nil {
 		return c, err
 	}
 	return c, nil

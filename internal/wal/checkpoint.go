@@ -45,10 +45,7 @@ type ActiveTxn struct {
 }
 
 // ManifestCollection names one collection the checkpoint vouches for: its
-// catalog registration plus the commit LSN its persisted files cover. A
-// recovery that replays nothing newer onto the collection's files may load
-// the R-tree straight from the persisted index file instead of rebuilding
-// it from a heap scan.
+// catalog registration plus the commit LSN its heap file covers.
 type ManifestCollection struct {
 	NewCollection
 	CoveringLSN LSN
@@ -223,9 +220,6 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 			return cp, err
 		}
 		if c.HeapFile, data, err = getFile(data); err != nil {
-			return cp, err
-		}
-		if c.IndexFile, data, err = getFile(data); err != nil {
 			return cp, err
 		}
 		if v, data, err = getU64(data); err != nil {

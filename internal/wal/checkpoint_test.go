@@ -24,7 +24,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 		},
 		Manifest: Manifest{
 			Collections: []ManifestCollection{
-				{NewCollection: NewCollection{Name: "roads", HeapFile: 1, IndexFile: 2}, CoveringLSN: 8000},
+				{NewCollection: NewCollection{Name: "roads", HeapFile: 1}, CoveringLSN: 8000},
 			},
 			JoinIndices: []ManifestJoinIndex{
 				{NewJoinIndex: NewJoinIndex{R: "roads", S: "cities", Operator: "overlaps", PairFile: 4}, CoveringLSN: 9500},
@@ -168,8 +168,8 @@ func TestCheckpointDPTForcesReplay(t *testing.T) {
 	if !bytes.Equal(got, img) {
 		t.Error("dirty-page-table image was not replayed")
 	}
-	if !res.TouchedFiles[pid.File] {
-		t.Error("TouchedFiles does not name the replayed file")
+	if res.Stats.PagesRestored != 1 {
+		t.Errorf("PagesRestored = %d, want 1", res.Stats.PagesRestored)
 	}
 }
 

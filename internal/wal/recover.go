@@ -21,11 +21,7 @@ type RecoveryStats struct {
 	TornPages       int64 // log pages whose checksum did not verify
 	BaseLSN         LSN   // stream offset recovery scanned from (>0 after truncation)
 	CheckpointLSN   LSN   // begin LSN of the checkpoint recovery bounded redo by; 0 = none
-	// IndexRebuildsSkipped counts persisted indices the catalog layer
-	// loaded from the checkpoint manifest instead of rebuilding from a
-	// heap scan. The wal package never sets it — Reopen does.
-	IndexRebuildsSkipped int64
-	NextTxn              uint64
+	NextTxn         uint64
 	// NextApplyFloor is the safe Options.ApplyFloor for the *next*
 	// recovery of this device once everything scanned here has been
 	// applied: the stream end, lowered to the begin LSN of the oldest
@@ -72,10 +68,7 @@ type Result struct {
 	// Checkpoint is the last complete checkpoint, nil when none was found
 	// (or checkpoints were ignored).
 	Checkpoint *Checkpoint
-	// TouchedFiles names every file replay wrote into — the files whose
-	// persisted index state the manifest can no longer vouch for.
-	TouchedFiles map[storage.FileID]bool
-	Stats        RecoveryStats
+	Stats      RecoveryStats
 }
 
 // Recover scans the log on dev, replays the page images of every committed
@@ -106,7 +99,7 @@ func Recover(dev storage.Device, groupCommit int) (*Log, []Record, RecoveryStats
 // page, so the garbage bytes stay on the device and are superseded by the
 // stream offsets of post-recovery appends (see the package comment).
 func RecoverWith(dev storage.Device, opts Options) (*Result, error) {
-	res := &Result{TouchedFiles: make(map[storage.FileID]bool)}
+	res := &Result{}
 	stats := &res.Stats
 	base, stream, tornPages, err := scanStream(dev)
 	if err != nil {
@@ -227,7 +220,6 @@ func RecoverWith(dev storage.Device, opts Options) (*Result, error) {
 				return res, err
 			}
 			stats.RecordsReplayed++
-			res.TouchedFiles[r.Page.File] = true
 			if !restored[r.Page] {
 				restored[r.Page] = true
 				stats.PagesRestored++

@@ -120,8 +120,6 @@ func (db *Database) registerMetrics() {
 			func() float64 { return float64(rec.RecordsReplayed) })
 		m.GaugeFunc("spatialjoin_recovery_records_skipped", "Committed images the checkpoint proved already durable.",
 			func() float64 { return float64(rec.RecordsSkipped) })
-		m.GaugeFunc("spatialjoin_recovery_index_rebuilds_skipped", "Persisted indices loaded from the manifest instead of rebuilt.",
-			func() float64 { return float64(rec.IndexRebuildsSkipped) })
 	}
 
 	parallel.EnableMetrics()

@@ -44,8 +44,9 @@ func sumIntAttr(spans []obs.Span, key string) int64 {
 
 // TestTraceReadSumMatchesStats is the acceptance check for the tracer's
 // I/O accounting: on a cold tree join, the per-level "reads" recorded in
-// the trace sum exactly to the query's Stats.PageReads, and the scrub
-// spans' reads sum exactly to Stats.IndexReads.
+// the trace sum exactly to the query's Stats.PageReads and no index I/O is
+// charged; on a cold index-strategy join, the pair-file scrub's reads plus
+// the executor's modelled index pages sum exactly to Stats.IndexReads.
 func TestTraceReadSumMatchesStats(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := DefaultConfig()
@@ -70,8 +71,9 @@ func TestTraceReadSumMatchesStats(t *testing.T) {
 		if got := sumIntAttr(levels, "reads"); got != stats.PageReads {
 			t.Errorf("workers=%d: level reads sum %d, Stats.PageReads %d", workers, got, stats.PageReads)
 		}
-		if got := sumIntAttr(trace.SpansNamed("scrub"), "reads"); got != stats.IndexReads {
-			t.Errorf("workers=%d: scrub reads sum %d, Stats.IndexReads %d", workers, got, stats.IndexReads)
+		if stats.IndexReads != 0 || len(trace.SpansNamed("scrub")) != 0 {
+			t.Errorf("workers=%d: tree join charged %d index reads over %d scrub spans, want none",
+				workers, stats.IndexReads, len(trace.SpansNamed("scrub")))
 		}
 		// The executor and query spans carry the same totals.
 		for _, name := range []string{"treejoin", "join"} {
@@ -86,6 +88,24 @@ func TestTraceReadSumMatchesStats(t *testing.T) {
 		// Per-level filter evaluations must telescope the same way.
 		if got := sumIntAttr(levels, "filter_evals"); got != stats.FilterEvals {
 			t.Errorf("workers=%d: level filter_evals sum %d, Stats %d", workers, got, stats.FilterEvals)
+		}
+
+		if _, _, err := db.BuildJoinIndex(r, s, Overlaps()); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		ctx, trace = WithTrace(context.Background())
+		if _, stats, err = db.JoinContext(ctx, r, s, Overlaps(), IndexStrategy); err != nil {
+			t.Fatal(err)
+		}
+		scrubbed := sumIntAttr(trace.SpansNamed("scrub"), "reads")
+		if scrubbed == 0 {
+			t.Errorf("workers=%d: cold index join scrubbed no pair-file pages", workers)
+		}
+		if got := scrubbed + sumIntAttr(trace.SpansNamed("indexjoin"), "index_reads"); got != stats.IndexReads {
+			t.Errorf("workers=%d: scrub + executor index reads %d, Stats.IndexReads %d", workers, got, stats.IndexReads)
 		}
 	}
 }
@@ -114,21 +134,25 @@ func TestTraceSelectReadSum(t *testing.T) {
 	}
 }
 
-// TestDegradedQueryTraceComplete kills the index backing pages and asserts
-// a degraded query still emits a complete trace: a "downgrade" event, an
-// "error" event on the failed attempt, every span closed, and the final
-// Downgrades count on the query span.
+// TestDegradedQueryTraceComplete kills the join index's backing pair page
+// and asserts a degraded index-strategy query still emits a complete trace:
+// a "downgrade" event, an "error" event on the failed attempt, every span
+// closed, and the final Downgrades count on the query span.
 func TestDegradedQueryTraceComplete(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault = &fault.Options{Seed: 7007}
 	db, r, s := traceDB(t, cfg)
+	ji, _, err := db.BuildJoinIndex(r, s, Overlaps())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := db.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	db.FaultDisk().LosePage(storage.PageID{File: r.IndexFileID(), Page: 0})
+	db.FaultDisk().LosePage(storage.PageID{File: ji.FileID(), Page: 0})
 
 	ctx, trace := WithTrace(context.Background())
-	_, stats, err := db.JoinContext(ctx, r, s, Overlaps(), TreeStrategy)
+	_, stats, err := db.JoinContext(ctx, r, s, Overlaps(), IndexStrategy)
 	if err != nil {
 		t.Fatalf("degradation failed: %v", err)
 	}
@@ -161,7 +185,7 @@ func TestDegradedQueryTraceComplete(t *testing.T) {
 		}
 	}
 	// The fallback ran: a nestedloop executor span exists alongside the
-	// aborted scrub/treejoin spans.
+	// aborted scrub span.
 	if len(trace.SpansNamed("nestedloop")) != 1 {
 		t.Error("trace missing the fallback nestedloop span")
 	}

@@ -57,11 +57,9 @@ func (db *Database) Select(c *Collection, o Spatial, op Operator, strategy Strat
 }
 
 // SelectContext is Select bounded by a context (composed with
-// Config.QueryTimeout when set). Before a tree-strategy selection the
-// collection's backing index file is scrubbed — read and checksum-verified,
-// charged to Stats.IndexReads — and a permanent storage fault on the index
-// degrades the query to the exhaustive scan, recorded in Stats.Downgrades,
-// still returning the correct result.
+// Config.QueryTimeout when set). Both strategies read only the collection's
+// heap pages, so a permanent storage fault there surfaces as a typed error:
+// there is no other copy to fall back on.
 func (db *Database) SelectContext(ctx context.Context, c *Collection, o Spatial, op Operator, strategy Strategy) ([]int, Stats, error) {
 	if c == nil || o == nil || op == nil {
 		return nil, Stats{}, fmt.Errorf("spatialjoin: nil select argument")
@@ -73,37 +71,17 @@ func (db *Database) SelectContext(ctx context.Context, c *Collection, o Spatial,
 	defer cancel()
 	ctx, q := db.beginQuery(ctx, "select", strategy)
 	ids, stats, err := db.selectOnce(ctx, c, o, op, strategy)
-	if err == nil || strategy != TreeStrategy || !fault.IsPermanent(err) || ctx.Err() != nil {
-		q.end(stats, err)
-		return ids, stats, err
-	}
-	q.downgrade(err)
-	ids, scanStats, err2 := db.selectOnce(ctx, c, o, op, ScanStrategy)
-	if err2 != nil {
-		total := stats.Add(scanStats)
-		err = fmt.Errorf("spatialjoin: scan fallback after %v failure (%v): %w", strategy, err, err2)
-		q.end(total, err)
-		return nil, total, err
-	}
-	total := stats.Add(scanStats)
-	total.Downgrades++
-	q.end(total, nil)
-	return ids, total, nil
+	q.end(stats, err)
+	return ids, stats, err
 }
 
-// selectOnce runs one strategy attempt without degradation.
+// selectOnce dispatches a selection to its strategy's executor.
 func (db *Database) selectOnce(ctx context.Context, c *Collection, o Spatial, op Operator, strategy Strategy) ([]int, Stats, error) {
 	switch strategy {
 	case ScanStrategy:
-		return join.ExhaustiveSelectCtx(ctx, c.table, o, op)
+		return join.ExhaustiveSelect(ctx, c.table, o, op)
 	case TreeStrategy:
-		scrubbed, err := db.scrubFiles(ctx, c.indexFile.File())
-		if err != nil {
-			return nil, Stats{IndexReads: scrubbed}, err
-		}
-		ids, stats, err := join.TreeSelectCtx(ctx, c.index.Generalization(), c.table, o, op, core.BreadthFirst)
-		stats.IndexReads += scrubbed
-		return ids, stats, err
+		return join.TreeSelect(ctx, c.index.Generalization(), c.table, o, op, core.BreadthFirst)
 	case IndexStrategy:
 		return nil, Stats{}, fmt.Errorf("spatialjoin: join indices cannot answer ad-hoc selections; use SelectStored")
 	default:
@@ -136,13 +114,13 @@ func (db *Database) Join(r, s *Collection, op Operator, strategy Strategy) ([]Ma
 }
 
 // JoinContext is Join bounded by a context (composed with
-// Config.QueryTimeout when set). Before a tree- or index-strategy join the
-// backing index files are scrubbed — read and checksum-verified, charged to
-// Stats.IndexReads — and a permanent storage fault on an index structure
-// degrades the query to the nested-loop scan over the base heap files,
-// recorded in Stats.Downgrades, still returning the byte-identical correct
-// match set. Faults on the heap files themselves are not recoverable and
-// surface as typed errors.
+// Config.QueryTimeout when set). Before an index-strategy join the join
+// index's pair file is scrubbed — read and checksum-verified, charged to
+// Stats.IndexReads — and a permanent storage fault on it degrades the query
+// to the nested-loop scan over the base heap files, recorded in
+// Stats.Downgrades, still returning the byte-identical correct match set.
+// Tree and scan joins read only the heap files, whose faults are not
+// recoverable and surface as typed errors.
 func (db *Database) JoinContext(ctx context.Context, r, s *Collection, op Operator, strategy Strategy) ([]Match, Stats, error) {
 	if r == nil || s == nil || op == nil {
 		return nil, Stats{}, fmt.Errorf("spatialjoin: nil join argument")
@@ -154,7 +132,7 @@ func (db *Database) JoinContext(ctx context.Context, r, s *Collection, op Operat
 	defer cancel()
 	ctx, q := db.beginQuery(ctx, "join", strategy)
 	ms, stats, err := db.joinOnce(ctx, r, s, op, strategy)
-	if err == nil || strategy == ScanStrategy || !fault.IsPermanent(err) || ctx.Err() != nil {
+	if err == nil || strategy != IndexStrategy || !fault.IsPermanent(err) || ctx.Err() != nil {
 		q.end(stats, err)
 		return ms, stats, err
 	}
@@ -176,27 +154,21 @@ func (db *Database) JoinContext(ctx context.Context, r, s *Collection, op Operat
 func (db *Database) joinOnce(ctx context.Context, r, s *Collection, op Operator, strategy Strategy) ([]Match, Stats, error) {
 	switch strategy {
 	case ScanStrategy:
-		return join.NestedLoopCtx(ctx, r.table, s.table, op, db.cfg.Workers)
+		return join.NestedLoop(ctx, r.table, s.table, op, db.cfg.Workers)
 	case TreeStrategy:
-		scrubbed, err := db.scrubFiles(ctx, r.indexFile.File(), s.indexFile.File())
-		if err != nil {
-			return nil, Stats{IndexReads: scrubbed}, err
-		}
-		ms, stats, err := join.TreeJoinCtx(ctx, r.index.Generalization(), r.table,
+		return join.TreeJoin(ctx, r.index.Generalization(), r.table,
 			s.index.Generalization(), s.table, op, db.cfg.Workers)
-		stats.IndexReads += scrubbed
-		return ms, stats, err
 	case IndexStrategy:
 		ix, ok := db.joinIndexFor(r, s, op)
 		if !ok {
 			return nil, Stats{}, fmt.Errorf("spatialjoin: no join index for %s ⋈ %s on %s; call BuildJoinIndex first",
 				r.name, s.name, op.Name())
 		}
-		scrubbed, err := db.scrubFiles(ctx, ix.file.File())
+		scrubbed, err := db.scrubFile(ctx, ix.file.File())
 		if err != nil {
 			return nil, Stats{IndexReads: scrubbed}, err
 		}
-		ms, stats, err := join.IndexJoinCtx(ctx, ix.ix, r.table, s.table, db.cfg.Workers)
+		ms, stats, err := join.IndexJoin(ctx, ix.ix, r.table, s.table, db.cfg.Workers)
 		stats.IndexReads += scrubbed
 		return ms, stats, err
 	default:
@@ -215,45 +187,36 @@ func (db *Database) queryCtx(ctx context.Context) (context.Context, context.Canc
 	return ctx, func() {}
 }
 
-// scrubFiles fetches every page of the given files through the buffer pool,
-// whose end-to-end verification rejects lost or corrupted pages before the
-// strategy trusts the index structures the files back. The returned count
-// is the physical reads the scrub caused (the executor charges them as
-// index I/O); it is returned even alongside an error so partial scrub work
-// stays visible in the statistics.
-func (db *Database) scrubFiles(ctx context.Context, files ...storage.FileID) (int64, error) {
+// scrubFile fetches every page of a join index's pair file through the
+// buffer pool, whose end-to-end verification rejects lost or corrupted
+// pages before the strategy trusts the index the file backs. The returned
+// count is the physical reads the scrub caused (the executor charges them
+// as index I/O); it is returned even alongside an error so partial scrub
+// work stays visible in the statistics.
+func (db *Database) scrubFile(ctx context.Context, file storage.FileID) (int64, error) {
 	trace := obs.TraceFrom(ctx)
 	span := trace.Begin(obs.SpanFromContext(ctx), "scrub")
 	before := db.pool.Stats().Misses
-	endScrub := func(err error) {
-		if trace == nil {
-			return
+	endScrub := func(err error) (int64, error) {
+		reads := db.pool.Stats().Misses - before
+		if trace != nil {
+			if err != nil {
+				trace.Event(span, "error", obs.Str("error", err.Error()))
+			}
+			trace.End(span, obs.Int("reads", reads))
 		}
-		if err != nil {
-			trace.Event(span, "error", obs.Str("error", err.Error()))
-		}
-		trace.End(span,
-			obs.Int("files", int64(len(files))),
-			obs.Int("reads", db.pool.Stats().Misses-before),
-		)
+		return reads, err
 	}
-	device := db.pool.Disk()
-	for _, f := range files {
-		n := device.NumPages(f)
-		for p := 0; p < n; p++ {
-			if err := ctx.Err(); err != nil {
-				endScrub(err)
-				return db.pool.Stats().Misses - before, err
-			}
-			if _, err := db.pool.Fetch(storage.PageID{File: f, Page: int32(p)}); err != nil {
-				err = fmt.Errorf("spatialjoin: index scrub of file %d: %w", f, err)
-				endScrub(err)
-				return db.pool.Stats().Misses - before, err
-			}
+	n := db.pool.Disk().NumPages(file)
+	for p := 0; p < n; p++ {
+		if err := ctx.Err(); err != nil {
+			return endScrub(err)
+		}
+		if _, err := db.pool.Fetch(storage.PageID{File: file, Page: int32(p)}); err != nil {
+			return endScrub(fmt.Errorf("spatialjoin: index scrub of file %d: %w", file, err))
 		}
 	}
-	endScrub(nil)
-	return db.pool.Stats().Misses - before, nil
+	return endScrub(nil)
 }
 
 // JoinIndex is a precomputed Valduriez join index between two collections

@@ -3,10 +3,10 @@ package spatialjoin
 // BenchmarkReopen measures checkpoint-bounded recovery: how long Reopen
 // takes on a device holding n committed inserts, with and without a
 // truncating checkpoint before the crash. Without a checkpoint, recovery
-// replays every image and rebuilds the R-tree from the heap, so the cost
-// grows with n; with one, replay is empty, the index fast-loads from the
-// manifest's persisted file, and the time stays flat. The replayed/op and
-// logpages metrics feed the EXPERIMENTS.md recovery table.
+// replays one heap-page image per insert and rebuilds the R-tree from the
+// heap; with one, replay is empty and only the heap-scan rebuild remains.
+// The replayed/op and logpages metrics feed the EXPERIMENTS.md recovery
+// table.
 
 import (
 	"fmt"

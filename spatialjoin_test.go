@@ -1,7 +1,9 @@
 package spatialjoin
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -107,6 +109,62 @@ func TestInsertGetRoundTrip(t *testing.T) {
 	}
 	if c.Pages() == 0 {
 		t.Fatal("collection must occupy pages")
+	}
+}
+
+// TestInsertRejectsNonFiniteGeometry inserts shapes whose bounds are NaN or
+// infinite between valid ones, with and without a WAL: each must fail with
+// ErrInvalidGeometry, leave the database usable, and leave tree and scan
+// strategies agreeing on every window (one accepted NaN MBR makes every
+// tree select return no rows).
+func TestInsertRejectsNonFiniteGeometry(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []Spatial{
+		Rect{MinX: nan, MinY: 0, MaxX: 1, MaxY: 1},
+		NewRect(0, 0, inf, 1),
+		Pt(-inf, 3),
+		Polygon{Pt(0, 0), Pt(4, 0), Pt(2, nan)},
+	}
+	for _, wal := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.WAL = wal
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := db.CreateCollection("objs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := loadRandomRects(t, c, 7, 200)
+		for _, shape := range bad {
+			if _, err := c.Insert(shape, "bad"); !errors.Is(err, ErrInvalidGeometry) {
+				t.Errorf("wal=%v: Insert(%v) = %v, want ErrInvalidGeometry", wal, shape.Bounds(), err)
+			}
+		}
+		if c.Len() != len(want) {
+			t.Fatalf("wal=%v: Len = %d after rejected inserts, want %d", wal, c.Len(), len(want))
+		}
+		if id, err := c.Insert(NewRect(10, 10, 20, 20), "after"); err != nil || id != len(want) {
+			t.Fatalf("wal=%v: insert after rejections: id=%d err=%v", wal, id, err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		for q := 0; q < 50; q++ {
+			x, y := rng.Float64()*900, rng.Float64()*900
+			w := NewRect(x, y, x+rng.Float64()*200, y+rng.Float64()*200)
+			scan, _, err := db.Select(c, w, Overlaps(), ScanStrategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, _, err := db.Select(c, w, Overlaps(), TreeStrategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Ints(tree)
+			if fmt.Sprint(tree) != fmt.Sprint(scan) {
+				t.Fatalf("wal=%v window %v: tree %d rows, scan %d rows", wal, w, len(tree), len(scan))
+			}
+		}
 	}
 }
 
