@@ -312,7 +312,7 @@ func BenchmarkMeasuredJoin(b *testing.B) {
 			if err := pool.DropAll(); err != nil {
 				b.Fatal(err)
 			}
-			_, stats, err := join.IndexJoin(context.Background(), ix, r, s, 1)
+			_, stats, err := join.IndexJoin(context.Background(), ix, r, s)
 			if err != nil {
 				b.Fatal(err)
 			}

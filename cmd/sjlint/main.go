@@ -7,8 +7,7 @@
 //	atomiccounter  fields documented atomic are accessed atomically only
 //	floateq        no raw ==/!= on float geometry values
 //	errdrop        storage/pool errors must be checked
-//	ctxpool        parallel.Run/RunChunks errors must be checked
-//	pinunpin       successful BufferPool.Pin reaches Unpin on every path
+//	ctxpool        parallel.RunCtx errors must be checked
 //	lockbalance    manual Lock/Unlock balance; no double-lock
 //	spanclose      obs spans are ended on every outcome
 //	semrelease     admission tokens are released on every path

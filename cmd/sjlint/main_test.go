@@ -9,14 +9,93 @@ import (
 	"testing"
 )
 
-// TestExitCodeContract verifies the machine-readable exit codes: 0 for the
-// clean production tree, 1 with diagnostics on the deliberately dirty
-// fixtures, 2 for usage errors.
+// The CLI contract tests run on a small self-contained module rather than
+// the repository: linting the whole tree is the self-hosting gate's job
+// (internal/analysis TestRepoIsClean and TestRepoIsCleanWithTests), and
+// these tests only need a clean package, a dirty one, and test-file
+// directives to drive every exit code and report field.
+var fixtureFiles = map[string]string{
+	"go.mod": "module fixture\n\ngo 1.21\n",
+	"clean/clean.go": `package clean
+
+import "sync"
+
+// Inc releases the lock on its only path.
+func Inc(mu *sync.Mutex, n *int) {
+	mu.Lock()
+	*n++
+	mu.Unlock()
+}
+`,
+	// A test-only file: its justified directive is honored only with -tests.
+	"clean/clean_test.go": `package clean
+
+import "sync"
+
+func hold(mu *sync.Mutex) {
+	//sjlint:ignore lockbalance the mutex is local to the test and dropped with it
+	mu.Lock()
+}
+`,
+	"dirty/dirty.go": `package dirty
+
+import "sync"
+
+func leak(mu *sync.Mutex, bad bool) {
+	mu.Lock()
+	if bad {
+		return
+	}
+	mu.Unlock()
+}
+
+func justified(mu *sync.Mutex, bad bool) {
+	//sjlint:ignore lockbalance the caller unlocks on the bad path
+	mu.Lock()
+	if bad {
+		return
+	}
+	mu.Unlock()
+}
+`,
+}
+
+// inModule writes files as a module under a fresh temporary directory and
+// makes it the working directory until the test ends.
+func inModule(t *testing.T, files map[string]string) {
+	t.Helper()
+	dir := t.TempDir()
+	for name, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestExitCodeContract verifies the machine-readable exit codes: 0 for a
+// clean package, 1 with diagnostics on a dirty one, 2 for usage errors.
 func TestExitCodeContract(t *testing.T) {
+	inModule(t, fixtureFiles)
 	var out, errb bytes.Buffer
 
-	if code := run([]string{"./..."}, &out, &errb); code != exitClean {
-		t.Fatalf("sjlint ./... = exit %d, want %d\nstdout:\n%s\nstderr:\n%s",
+	if code := run([]string{"./clean"}, &out, &errb); code != exitClean {
+		t.Fatalf("sjlint ./clean = exit %d, want %d\nstdout:\n%s\nstderr:\n%s",
 			code, exitClean, out.String(), errb.String())
 	}
 	if out.Len() != 0 {
@@ -25,12 +104,11 @@ func TestExitCodeContract(t *testing.T) {
 
 	out.Reset()
 	errb.Reset()
-	fixture := "./internal/analysis/testdata/src/floateq"
-	if code := run([]string{fixture}, &out, &errb); code != exitFindings {
-		t.Fatalf("sjlint %s = exit %d, want %d\nstderr:\n%s", fixture, code, exitFindings, errb.String())
+	if code := run([]string{"./..."}, &out, &errb); code != exitFindings {
+		t.Fatalf("sjlint ./... = exit %d, want %d\nstderr:\n%s", code, exitFindings, errb.String())
 	}
-	if !strings.Contains(out.String(), "floateq") {
-		t.Fatalf("fixture run did not report floateq findings:\n%s", out.String())
+	if !strings.Contains(out.String(), "dirty.go:6:") || !strings.Contains(out.String(), "lockbalance") {
+		t.Fatalf("dirty run did not report the lockbalance finding:\n%s", out.String())
 	}
 
 	out.Reset()
@@ -52,55 +130,59 @@ type jsonReport struct {
 	Warnings   []string       `json:"warnings"`
 }
 
-func TestJSONOutput(t *testing.T) {
+func runJSON(t *testing.T, wantCode int, args ...string) jsonReport {
+	t.Helper()
 	var out, errb bytes.Buffer
-	code := run([]string{"-json", "./internal/analysis/testdata/src/errdrop"}, &out, &errb)
-	if code != exitFindings {
-		t.Fatalf("exit %d, want %d\nstderr:\n%s", code, exitFindings, errb.String())
+	if code := run(append([]string{"-json"}, args...), &out, &errb); code != wantCode {
+		t.Fatalf("sjlint -json %v = exit %d, want %d\nstdout:\n%s\nstderr:\n%s",
+			args, code, wantCode, out.String(), errb.String())
 	}
 	var rep jsonReport
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
 	}
-	if len(rep.Diagnostics) == 0 || rep.Diagnostics[0].Analyzer != "errdrop" || rep.Diagnostics[0].Line == 0 {
+	return rep
+}
+
+func TestJSONOutput(t *testing.T) {
+	inModule(t, fixtureFiles)
+	rep := runJSON(t, exitFindings, "./dirty")
+	if len(rep.Diagnostics) != 1 || rep.Diagnostics[0].Analyzer != "lockbalance" ||
+		rep.Diagnostics[0].File != filepath.Join("dirty", "dirty.go") || rep.Diagnostics[0].Line != 6 {
 		t.Fatalf("unexpected JSON diagnostics: %+v", rep.Diagnostics)
 	}
-	// The errdrop fixture carries a justified suppression; the report must
-	// account for it per analyzer.
-	if rep.Suppressed["errdrop"] == 0 {
+	// The justified suppression must be accounted per analyzer.
+	if rep.Suppressed["lockbalance"] != 1 {
 		t.Fatalf("suppressed count missing from report: %+v", rep.Suppressed)
+	}
+	if len(rep.Warnings) != 0 {
+		t.Fatalf("justified directive drew a warning: %v", rep.Warnings)
 	}
 }
 
 // TestTestsFlag verifies -tests extends analysis to _test.go files: the
-// production tree stays clean even with them included (every finding fixed
-// or justified), and the suppression accounting shows test-file directives
-// were honored.
+// directive in the fixture's test file is seen (and honored) only with the
+// flag, and the package stays clean either way.
 func TestTestsFlag(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-tests", "-json", "./..."}, &out, &errb)
-	if code != exitClean {
-		t.Fatalf("sjlint -tests ./... = exit %d, want %d\nstdout:\n%s\nstderr:\n%s",
-			code, exitClean, out.String(), errb.String())
+	inModule(t, fixtureFiles)
+	if rep := runJSON(t, exitClean, "./clean"); rep.Suppressed["lockbalance"] != 0 {
+		t.Fatalf("test file analyzed without -tests: %+v", rep.Suppressed)
 	}
-	var rep jsonReport
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if rep.Suppressed["pinunpin"] == 0 {
-		t.Fatalf("expected pinunpin suppressions from storage tests, got %+v", rep.Suppressed)
+	rep := runJSON(t, exitClean, "-tests", "./clean")
+	if rep.Suppressed["lockbalance"] != 1 {
+		t.Fatalf("expected the test file's lockbalance suppression, got %+v", rep.Suppressed)
 	}
 	if len(rep.Warnings) != 0 {
-		t.Fatalf("tree has unjustified ignore directives:\n%s", strings.Join(rep.Warnings, "\n"))
+		t.Fatalf("justified directive drew a warning: %v", rep.Warnings)
 	}
 }
 
 // TestBareDirectiveWarning verifies an //sjlint:ignore with no written
-// justification still suppresses but is warned about on stderr and in the
-// JSON report.
+// justification still suppresses but is warned about on stderr.
 func TestBareDirectiveWarning(t *testing.T) {
-	dir := t.TempDir()
-	src := `package scratch
+	inModule(t, map[string]string{
+		"go.mod": "module scratch\n\ngo 1.21\n",
+		"scratch.go": `package scratch
 
 import "sync"
 
@@ -112,27 +194,8 @@ func f(mu *sync.Mutex, bad bool) {
 	}
 	mu.Unlock()
 }
-`
-	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gomod := "module scratch\n\ngo 1.21\n"
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte(gomod), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := os.Chdir(wd); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
+`,
+	})
 	var out, errb bytes.Buffer
 	code := run([]string{"-run", "lockbalance", "."}, &out, &errb)
 	if code != exitClean {

@@ -385,7 +385,7 @@ func run(out io.Writer, o options) (err error) {
 		if err := cold(); err != nil {
 			return err
 		}
-		pairs, st, err := join.IndexJoin(ctx, ix, r.table, s.table, 1)
+		pairs, st, err := join.IndexJoin(ctx, ix, r.table, s.table)
 		if err != nil {
 			return err
 		}

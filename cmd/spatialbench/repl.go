@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -31,8 +32,10 @@ type replRow struct {
 
 // measureReplRow builds a fresh primary with the deterministic base
 // workload, fixes a replica position by exporting a seed snapshot, commits
-// divergence more inserts, and ships the WAL tail, the snapshot delta, and
-// a full snapshot from that position through a live replication source.
+// divergence more inserts, and prices the three catch-up forms from that
+// position: the WAL tail by the durable log bytes behind it, the snapshot
+// delta by shipping it through a live replication source, and a full
+// snapshot by exporting one.
 func measureReplRow(seed int64, base, divergence int) (replRow, error) {
 	row := replRow{divergence: divergence}
 	cfg := spatialjoin.DefaultConfig()
@@ -80,40 +83,19 @@ func measureReplRow(seed int64, base, divergence int) (replRow, error) {
 		return row, err
 	}
 
-	// Tail first: it needs the log the delta's checkpoint would seal.
-	t, err := src.OpenTail(position)
-	if err != nil {
-		return row, err
-	}
-	defer t.Close()
-	for {
-		c, err := t.Next(wire.MaxReplChunk)
-		if err != nil {
-			return row, err
-		}
-		if len(c.Records) == 0 {
-			break
-		}
-		row.tailBytes += len(c.Records)
-	}
+	// A tail ships exactly the durable records behind the position. Read
+	// the durable end before the delta: its checkpoint appends to the log.
+	row.tailBytes = int(db.DurableLSN() - position)
 
-	st, err := src.OpenSnap(position)
+	var deltaBuf bytes.Buffer
+	full, err := src.StreamSnap(context.Background(), position, func(c wire.SnapChunk) error {
+		_, err := deltaBuf.Write(c.Data)
+		return err
+	})
 	if err != nil {
 		return row, err
 	}
-	defer st.Close()
-	var deltaBuf bytes.Buffer
-	for {
-		data, err := st.Next(wire.MaxReplChunk)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return row, err
-		}
-		deltaBuf.Write(data)
-	}
-	if st.Full {
+	if full {
 		return row, fmt.Errorf("source shipped a full snapshot where a delta was expected")
 	}
 	row.deltaBytes = deltaBuf.Len()

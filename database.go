@@ -345,9 +345,9 @@ func (c *Collection) Pages() int { return c.rel.NumPages() }
 // IndexHeight returns the height of the collection's R-tree.
 func (c *Collection) IndexHeight() int { return c.index.Height() }
 
-// ErrInvalidGeometry is returned (wrapped) by Insert for a shape whose
-// bounds are not finite: an R-tree entry with a NaN or infinite MBR would
-// make tree-strategy answers diverge from the scan's.
+// ErrInvalidGeometry is returned (wrapped) by Insert for a shape, and by
+// SelectContext for a selector, whose bounds are not finite: a NaN or
+// infinite MBR makes tree-strategy answers diverge from the scan's.
 var ErrInvalidGeometry = errors.New("spatialjoin: invalid geometry")
 
 // finiteRect reports whether every coordinate of r is neither NaN nor ±Inf.

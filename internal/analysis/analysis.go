@@ -91,12 +91,10 @@ func All() []*Analyzer {
 		StatsReset,
 		ThetaPair,
 		JoinAlloc,
-		PinUnpin,
 		LockBalance,
 		SpanClose,
 		SemRelease,
 		TxnAtomic,
-		StreamClose,
 	}
 }
 

@@ -6,13 +6,13 @@ import (
 )
 
 // CtxPool flags parallel worker-pool launches whose error result is
-// discarded. parallel.Run and parallel.RunChunks stop handing out tasks
-// after the first failure, so a discarded error means the caller treats a
+// discarded. parallel.RunCtx stops handing out tasks after the first
+// failure, so a discarded error means the caller treats a
 // partially-executed join as complete — the exact silent-wrong-answer
 // failure mode the cross-strategy equivalence harness exists to prevent.
 var CtxPool = &Analyzer{
 	Name: "ctxpool",
-	Doc:  "flag parallel.Run/RunChunks launches whose error result is discarded",
+	Doc:  "flag parallel.RunCtx launches whose error result is discarded",
 	Run:  runCtxPool,
 }
 

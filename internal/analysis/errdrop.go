@@ -6,17 +6,18 @@ import (
 )
 
 // ErrDrop flags unchecked errors from storage-layer operations. A dropped
-// error from Fetch, WritePage, Flush, or Unpin is not just a lost failure:
-// the pool's pin counts and the disk's I/O accounting are updated on the
-// success path, so ignoring the error desynchronizes the caller's view of
-// the pool from its true state and corrupts the measured cost figures.
+// error from Fetch, WritePage, Flush, or MarkDirty is not just a lost
+// failure: the pool's frame state and the disk's I/O accounting are
+// updated on the success path, so ignoring the error desynchronizes the
+// caller's view of the pool from its true state and corrupts the measured
+// cost figures.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc:  "flag unchecked errors from storage and buffer-pool operations",
 	Run:  runErrDrop,
 	// Tests drop storage errors deliberately when priming state for the
 	// scenario under test; the flow-sensitive analyzers cover what matters
-	// there (pin balance, lock balance).
+	// there (lock balance, transaction atomicity).
 	SkipTests: true,
 }
 

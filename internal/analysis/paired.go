@@ -44,7 +44,7 @@ type ResKey struct {
 type AcqOp struct {
 	Key  ResKey
 	Pos  token.Pos
-	Desc string // human phrasing for diagnostics, e.g. `BufferPool.Pin(id)`
+	Desc string // human phrasing for diagnostics, e.g. `mu.Lock()`
 	// ErrObj, when non-nil, is the error variable guarding the acquire:
 	// the resource is held only where this error is nil.
 	ErrObj types.Object
@@ -75,8 +75,8 @@ type PairSpec struct {
 	// A nil callback disables escape analysis.
 	ValueEscapes func(pass *Pass, id *ast.Ident, stack []ast.Node) bool
 
-	// Reentrant counts nested acquires of one key (pin counts) instead of
-	// flagging them.
+	// Reentrant counts nested acquires of one key (admission tokens)
+	// instead of flagging them.
 	Reentrant bool
 	// ReportDoubleAcquire flags an acquire of an already-held key
 	// (double-lock self-deadlock) on non-reentrant specs.

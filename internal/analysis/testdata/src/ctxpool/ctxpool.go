@@ -1,29 +1,28 @@
 // Package ctxpool is a golden fixture for the ctxpool analyzer: a
-// parallel.Run / RunChunks launch whose error is discarded treats a
+// parallel.RunCtx launch whose error is discarded treats a
 // partially-executed join as complete.
 package ctxpool
 
-import "spatialjoin/internal/parallel"
+import (
+	"context"
 
-func launchAndForget(n int) {
-	parallel.Run(0, n, func(int) error { return nil }) // want "discarded error from parallel.Run"
+	"spatialjoin/internal/parallel"
+)
+
+func launchAndForget(ctx context.Context, n int) {
+	parallel.RunCtx(ctx, 0, n, func(int) error { return nil }) // want "discarded error from parallel.RunCtx"
 }
 
-func chunksBlankError(n int) {
-	_, _ = parallel.RunChunks(0, n, func(int, int, int) error { return nil }) // want "discarded error from parallel.RunChunks"
+func blankError(ctx context.Context, n int) {
+	_ = parallel.RunCtx(ctx, 0, n, func(int) error { return nil }) // want "discarded error from parallel.RunCtx"
 }
 
 // checked is the approved pattern.
-func checked(n int) error {
-	return parallel.Run(0, n, func(int) error { return nil })
+func checked(ctx context.Context, n int) error {
+	return parallel.RunCtx(ctx, 0, n, func(int) error { return nil })
 }
 
-// chunksChecked keeps both results.
-func chunksChecked(n int) ([]parallel.Chunk, error) {
-	return parallel.RunChunks(0, n, func(int, int, int) error { return nil })
-}
-
-func suppressed(n int) {
+func suppressed(ctx context.Context, n int) {
 	//sjlint:ignore ctxpool fire-and-forget demo workload
-	parallel.Run(0, n, func(int) error { return nil })
+	parallel.RunCtx(ctx, 0, n, func(int) error { return nil })
 }

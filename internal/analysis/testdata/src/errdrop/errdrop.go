@@ -1,12 +1,12 @@
 // Package errdrop is a golden fixture for the errdrop analyzer: errors
 // from storage and buffer-pool operations must be checked, since the
-// success path mutates pin counts and I/O counters.
+// success path mutates frame state and I/O counters.
 package errdrop
 
 import "spatialjoin/internal/storage"
 
 func dropStatement(bp *storage.BufferPool, id storage.PageID) {
-	bp.Unpin(id) // want "unchecked error from storage operation Unpin"
+	bp.MarkDirty(id) // want "unchecked error from storage operation MarkDirty"
 }
 
 func dropDeferred(bp *storage.BufferPool) {
@@ -27,6 +27,6 @@ func checked(bp *storage.BufferPool, id storage.PageID) error {
 }
 
 func suppressed(bp *storage.BufferPool, id storage.PageID) {
-	//sjlint:ignore errdrop best-effort unpin on a teardown path
-	bp.Unpin(id)
+	//sjlint:ignore errdrop best-effort flush on a teardown path
+	bp.Flush()
 }

@@ -145,7 +145,7 @@ func TestAllJoinStrategiesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ij, ijStats, err := IndexJoin(context.Background(), ix, fr.table, fs.table, 1)
+		ij, ijStats, err := IndexJoin(context.Background(), ix, fr.table, fs.table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestIndexJoinChargesIndexPages(t *testing.T) {
 	if buildStats.ExactEvals == 0 {
 		t.Fatal("build must evaluate pairs")
 	}
-	_, stats, err := IndexJoin(context.Background(), ix, fr.table, fs.table, 1)
+	_, stats, err := IndexJoin(context.Background(), ix, fr.table, fs.table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestIndexJoinEmptyIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A join of objects that essentially never match centerpoint-exactly.
-	pairs, stats, err := IndexJoin(context.Background(), ix, fr.table, fs.table, 1)
+	pairs, stats, err := IndexJoin(context.Background(), ix, fr.table, fs.table)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,11 @@ import (
 )
 
 // TestParallelStrategiesMatchSequential checks the tentpole invariant of
-// the execution engine: for every strategy, every worker count returns the
-// exact sequential result — same matches, same predicate-evaluation
-// counts. Only page reads may drift, since concurrent workers interleave
-// on the shared LRU pool.
+// the execution engine: for every strategy that fans out, every worker
+// count returns the exact sequential result — same matches, same
+// predicate-evaluation counts. Only page reads may drift, since concurrent
+// workers interleave on the shared LRU pool. The index join is sequential
+// and must agree with both.
 func TestParallelStrategiesMatchSequential(t *testing.T) {
 	pool := newPool(t, 64)
 	r := newFixture(t, pool, 21, 4, 3, 0)
@@ -31,7 +32,7 @@ func TestParallelStrategiesMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantIJ, _, err := IndexJoin(context.Background(), ix, r.table, s.table, 1)
+	gotIJ, _, err := IndexJoin(context.Background(), ix, r.table, s.table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +41,7 @@ func TestParallelStrategiesMatchSequential(t *testing.T) {
 	}
 	equalMatchSets(t, "nested-loop vs tree", append([]core.Match(nil), wantNL...),
 		append([]core.Match(nil), wantTJ...))
+	equalMatchSets(t, "index join vs nested loop", gotIJ, append([]core.Match(nil), wantNL...))
 
 	for _, workers := range []int{2, 3, 8, 0} {
 		got, stats, err := NestedLoop(context.Background(), r.table, s.table, op, workers)
@@ -66,12 +68,6 @@ func TestParallelStrategiesMatchSequential(t *testing.T) {
 			t.Errorf("tree join workers=%d: evals (%d,%d), want (%d,%d)", workers,
 				stats.FilterEvals, stats.ExactEvals, tjStats.FilterEvals, tjStats.ExactEvals)
 		}
-
-		got, _, err = IndexJoin(context.Background(), ix, r.table, s.table, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalMatchSets(t, "index join", got, wantIJ)
 	}
 }
 

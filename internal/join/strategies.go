@@ -386,12 +386,11 @@ func BuildIndex(r, s Table, op pred.Operator, order int) (*joinindex.Index, Stat
 // IndexJoin computes the join from a precomputed index: read the
 // pairs and fetch the corresponding tuples — no predicate evaluations at
 // all. Index pages are charged per the B+-tree's fill (|J|/z), plus the
-// tuple fetches through the buffer pool. With workers > 1 (≤ 0 meaning
-// GOMAXPROCS) the pair list is read sequentially from the B+-tree and the
-// tuple probes are fanned out over contiguous chunks of it; the pair list
-// itself is already in canonical (R, S) order. The context is checked
-// between probe chunks and every ctxStride pairs inside a chunk.
-func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int) ([]core.Match, Stats, error) {
+// tuple fetches through the buffer pool. The probes run sequentially:
+// every one serializes on the pool's frame lock, so fanning them out over
+// workers only adds scheduling cost. The pair list is already in canonical
+// (R, S) order. The context is checked every ctxStride pairs.
+func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table) ([]core.Match, Stats, error) {
 	trace, span, ctx := execSpan(ctx, "indexjoin")
 	var stats Stats
 	pools := []*poolDelta{newPoolDelta(r.Pool)}
@@ -403,20 +402,7 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 		out = append(out, core.Match{R: rid, S: sid})
 		return true
 	})
-	_, err := parallel.RunChunksCtx(ctx, workers, len(out), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := ctxStep(ctx, i); err != nil {
-				return err
-			}
-			if err := r.touch(out[i].R); err != nil {
-				return err
-			}
-			if err := s.touch(out[i].S); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	err := probePairs(ctx, out, r, s)
 	if err != nil {
 		st := stats
 		for _, pd := range pools {
@@ -433,6 +419,22 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 	trace.Annotate(span, obs.Int("pairs", int64(len(out))))
 	endExec(trace, span, stats, nil)
 	return out, stats, nil
+}
+
+// probePairs fetches the R and S tuple of every pair, in pair order.
+func probePairs(ctx context.Context, pairs []core.Match, r, s Table) error {
+	for i, p := range pairs {
+		if err := ctxStep(ctx, i); err != nil {
+			return err
+		}
+		if err := r.touch(p.R); err != nil {
+			return err
+		}
+		if err := s.touch(p.S); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // IndexSelect answers a spatial selection for a selector that is tuple rID

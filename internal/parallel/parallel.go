@@ -26,7 +26,7 @@ import (
 const maxTrackedWorkers = 64
 
 // poolMetrics is the process-wide activity accounting for every pool run,
-// behind an atomic gate so the default path pays one atomic load per Run.
+// behind an atomic gate so the default path pays one atomic load per RunCtx.
 var poolMetrics struct {
 	enabled    atomic.Bool
 	runs       atomic.Int64
@@ -42,7 +42,7 @@ func EnableMetrics() { poolMetrics.enabled.Store(true) }
 
 // PoolStats is a snapshot of pool activity since EnableMetrics.
 type PoolStats struct {
-	Runs      int64 // Run/RunCtx invocations that started at least one task
+	Runs      int64 // RunCtx invocations that started at least one task
 	Tasks     int64 // tasks completed
 	BusyNanos int64 // total time spent inside tasks, all workers
 	// WorkerBusyNanos is per-worker-slot busy time (worker ids folded
@@ -83,24 +83,21 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run executes task(0..n-1) on at most `workers` goroutines (resolved via
-// Workers) and returns the first error any task produced. Tasks are handed
-// out through an atomic cursor, so long tasks do not stall the queue behind
-// them. With one worker (or one task) everything runs on the calling
+// RunCtx executes task(0..n-1) on at most `workers` goroutines (resolved
+// via Workers) and returns the first error any task produced. Tasks are
+// handed out through an atomic cursor, so long tasks do not stall the queue
+// behind them. With one worker (or one task) everything runs on the calling
 // goroutine, making the serial path allocation- and goroutine-free.
 //
 // After a task fails no *new* tasks are started, but tasks already running
-// are not interrupted; Run returns once all started tasks finish.
-func Run(workers, n int, task func(i int) error) error {
-	return RunCtx(context.Background(), workers, n, task)
-}
-
-// RunCtx is Run with cancellation: the context is checked before each task
-// is handed out, so a cancelled or expired context stops the pool between
-// tasks and RunCtx returns ctx.Err(). An already-cancelled context returns
-// promptly, starting no tasks and leaving no goroutines behind. Tasks
-// already running when the context fires are not interrupted — long tasks
-// that want finer-grained cancellation must check the context themselves.
+// are not interrupted; RunCtx returns once all started tasks finish.
+//
+// The context is checked before each task is handed out, so a cancelled or
+// expired context stops the pool between tasks and RunCtx returns
+// ctx.Err(). An already-cancelled context returns promptly, starting no
+// tasks and leaving no goroutines behind. Tasks already running when the
+// context fires are not interrupted — long tasks that want finer-grained
+// cancellation must check the context themselves.
 func RunCtx(ctx context.Context, workers, n int, task func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -213,28 +210,3 @@ func Chunks(n, parts int) []Chunk {
 	}
 	return out
 }
-
-// RunChunks splits [0, n) into roughly perChunkFactor×workers chunks and
-// runs body once per chunk on the pool. body receives the chunk index and
-// bounds; per-chunk outputs should be written to chunk-indexed slots and
-// merged in order by the caller. It returns the chunk list actually used.
-func RunChunks(workers, n int, body func(chunk int, lo, hi int) error) ([]Chunk, error) {
-	return RunChunksCtx(context.Background(), workers, n, body)
-}
-
-// RunChunksCtx is RunChunks with cancellation, with RunCtx's semantics: the
-// context is checked between chunks, and a cancelled context returns
-// ctx.Err() alongside the chunk list.
-func RunChunksCtx(ctx context.Context, workers, n int, body func(chunk int, lo, hi int) error) ([]Chunk, error) {
-	workers = Workers(workers)
-	// Oversplit relative to the worker count so uneven partitions (skewed
-	// tiles, ragged tree levels) still load-balance.
-	chunks := Chunks(n, workers*chunkOversplit)
-	err := RunCtx(ctx, workers, len(chunks), func(i int) error {
-		return body(i, chunks[i].Lo, chunks[i].Hi)
-	})
-	return chunks, err
-}
-
-// chunkOversplit is the number of chunks handed to each worker on average.
-const chunkOversplit = 4

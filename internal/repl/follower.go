@@ -59,8 +59,9 @@ type FollowerOptions struct {
 	Config spatialjoin.Config
 	// Dial overrides the connection factory (chaos tests cut links here).
 	Dial func(ctx context.Context) (net.Conn, error)
-	// MaxLagBytes marks the replica stale when its durable end trails the
-	// primary's by more than this many log bytes (0: never stale by lag).
+	// MaxLagBytes marks the replica stale when its visible state trails
+	// the primary's durable end by more than this many log bytes (0: never
+	// stale by lag).
 	MaxLagBytes int64
 	// MaxLagAge marks the replica stale when nothing has been heard from
 	// the primary for this long (0: never stale by age).
@@ -85,6 +86,13 @@ type Follower struct {
 	db      *spatialjoin.Database
 	disk    *storage.Disk
 	applied wal.LSN // NextApplyFloor of the last recovery; replay floor
+	// visible is the log end whose committed state the current database
+	// exposes to readers. Shipped records land in the log before the
+	// refresh that makes them readable, so the log's DurableLSN can run
+	// ahead of it; lag and convergence are judged by this watermark. It
+	// is stored under mu with each db swap, and by the tail loop alone
+	// after a batch that changes nothing readable.
+	visible atomic.Int64
 
 	connMu sync.Mutex
 	conn   net.Conn
@@ -226,8 +234,8 @@ func (f *Follower) toState(s State) {
 }
 
 // Lag reports how far the replica trails the primary: in log bytes (the
-// primary's durable LSN minus the replica's) and in time since the last
-// frame arrived from the primary.
+// primary's durable LSN minus the replica's visible watermark) and in time
+// since the last frame arrived from the primary.
 func (f *Follower) Lag() (bytes int64, age time.Duration) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -239,7 +247,7 @@ func (f *Follower) lagBytes() int64 {
 	if f.db == nil {
 		return f.sourceDurable.Load()
 	}
-	lag := f.sourceDurable.Load() - int64(f.db.DurableLSN())
+	lag := f.sourceDurable.Load() - f.visible.Load()
 	if lag < 0 {
 		lag = 0
 	}
@@ -403,6 +411,7 @@ func (f *Follower) installSeed(db *spatialjoin.Database, r *snapReader) error {
 	f.db = db
 	f.disk = disk
 	f.applied = db.RecoveryInfo().NextApplyFloor
+	f.visible.Store(int64(db.DurableLSN()))
 	f.mu.Unlock()
 	if old != nil {
 		old.Close()
@@ -477,6 +486,7 @@ func (f *Follower) resync(conn net.Conn, req uint64) error {
 	f.mu.Lock()
 	f.db = db
 	f.applied = stats.NextApplyFloor
+	f.visible.Store(int64(db.DurableLSN()))
 	f.mu.Unlock()
 	return nil
 }
@@ -533,9 +543,13 @@ func (f *Follower) tail(conn net.Conn, req uint64) error {
 					if rerr := f.refresh(); rerr != nil {
 						return rerr
 					}
+				} else {
+					// Nothing readable changed, so the current database
+					// already exposes the state at the new log end.
+					f.visible.Store(int64(f.db.DurableLSN()))
 				}
 			}
-			if int64(f.db.DurableLSN()) >= int64(c.DurableLSN) {
+			if f.visible.Load() >= int64(c.DurableLSN) {
 				f.toState(StateStreaming)
 			} else {
 				f.toState(StateCatchingUp)
@@ -586,6 +600,7 @@ func (f *Follower) refresh() error {
 	}
 	f.db = db
 	f.applied = stats.NextApplyFloor
+	f.visible.Store(int64(db.DurableLSN()))
 	return nil
 }
 
@@ -673,7 +688,7 @@ func (f *Follower) registerMetrics() {
 		"Follower state: 0 seeding, 1 catching up, 2 streaming, 3 stalled.",
 		func() float64 { return float64(f.state.Load()) })
 	m.GaugeFunc("spatialjoin_repl_lag_bytes",
-		"Log bytes the replica's durable end trails the primary's.",
+		"Log bytes the replica's visible state trails the primary's durable end.",
 		func() float64 { b, _ := f.Lag(); return float64(b) })
 	m.GaugeFunc("spatialjoin_repl_lag_seconds",
 		"Seconds since the last frame arrived from the primary.",

@@ -196,18 +196,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// waitConverged blocks until the follower's durable log end reaches the
-// primary's current one. The primary must be quiesced by the caller.
+// waitConverged blocks until the follower serves reads and its visible
+// watermark reaches the primary's durable end. The primary must be
+// quiesced by the caller.
 func waitConverged(t *testing.T, f *Follower, p *primary) {
 	t.Helper()
 	target := p.db.DurableLSN()
 	waitFor(t, fmt.Sprintf("replica convergence to LSN %d", target), func() bool {
-		db, release, err := f.Acquire()
+		_, release, err := f.Acquire()
 		if err != nil {
 			return false
 		}
+		// Holding the read lock keeps the watermark paired with the
+		// database being served.
 		defer release()
-		return db.DurableLSN() >= target
+		return f.visible.Load() >= int64(target)
 	})
 }
 

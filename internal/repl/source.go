@@ -179,18 +179,18 @@ func (s *Source) Advance() error {
 	return s.catchUpLocked()
 }
 
-// TailStream is one open WAL tail: a cursor over the primary's log from a
-// replica's requested LSN. Every opened stream must be closed.
-type TailStream struct {
+// tailStream is one open WAL tail: a cursor over the primary's log from a
+// replica's requested LSN. StreamTail is its only opener and closes it.
+type tailStream struct {
 	s    *Source
 	tr   *wal.TailReader
 	once sync.Once
 }
 
-// OpenTail opens a tail stream from the given record-boundary LSN. It
+// openTail opens a tail stream from the given record-boundary LSN. It
 // fails with wal.ErrTruncatedAway when the log no longer reaches back that
 // far — the caller should tell the replica to resync from a delta.
-func (s *Source) OpenTail(from wal.LSN) (*TailStream, error) {
+func (s *Source) openTail(from wal.LSN) (*tailStream, error) {
 	if s.isClosed() {
 		return nil, ErrSourceClosed
 	}
@@ -199,13 +199,13 @@ func (s *Source) OpenTail(from wal.LSN) (*TailStream, error) {
 		return nil, err
 	}
 	s.tailStreams.Add(1)
-	return &TailStream{s: s, tr: tr}, nil
+	return &tailStream{s: s, tr: tr}, nil
 }
 
 // Next returns the next chunk of complete records, up to max bytes. A
 // chunk with no Records means the stream is caught up; it still carries
 // the primary's durable LSN for lag accounting.
-func (t *TailStream) Next(max int) (wire.WALChunk, error) {
+func (t *tailStream) Next(max int) (wire.WALChunk, error) {
 	base, chunk, err := t.tr.Next(max)
 	if err != nil {
 		return wire.WALChunk{}, err
@@ -221,28 +221,28 @@ func (t *TailStream) Next(max int) (wire.WALChunk, error) {
 }
 
 // Close releases the stream.
-func (t *TailStream) Close() error {
+func (t *tailStream) Close() error {
 	t.once.Do(func() { t.s.tailStreams.Add(-1) })
 	return nil
 }
 
-// SnapStream is one snapshot or delta export in flight: the encoding
-// goroutine writes into a pipe the stream reads from. Every opened stream
-// must be closed, which also reaps the goroutine.
-type SnapStream struct {
+// snapStream is one snapshot or delta export in flight: the encoding
+// goroutine writes into a pipe the stream reads from. StreamSnap is its
+// only opener and closes it, which also reaps the goroutine.
+type snapStream struct {
 	s    *Source
 	r    *io.PipeReader
 	done chan struct{}
 	once sync.Once
-	// Full reports whether the stream carries a full snapshot rather than
+	// full reports whether the stream carries a full snapshot rather than
 	// a delta (the replica asked from before the tracker's horizon).
-	Full bool
+	full bool
 }
 
-// OpenSnap checkpoints the primary and opens a snapshot stream covering
+// openSnap checkpoints the primary and opens a snapshot stream covering
 // the pages dirtied since the given LSN — or a full device snapshot when
 // since predates the tracker's horizon (in particular, since 0).
-func (s *Source) OpenSnap(since wal.LSN) (*SnapStream, error) {
+func (s *Source) openSnap(since wal.LSN) (*snapStream, error) {
 	if s.isClosed() {
 		return nil, ErrSourceClosed
 	}
@@ -270,7 +270,7 @@ func (s *Source) OpenSnap(since wal.LSN) (*SnapStream, error) {
 		s.deltas.Add(1)
 	}
 	pr, pw := io.Pipe()
-	st := &SnapStream{s: s, r: pr, done: make(chan struct{}), Full: full}
+	st := &snapStream{s: s, r: pr, done: make(chan struct{}), full: full}
 	s.snapStreams.Add(1)
 	go func() {
 		defer close(st.done)
@@ -287,7 +287,7 @@ func (s *Source) OpenSnap(since wal.LSN) (*SnapStream, error) {
 
 // Next returns the next at-most-max bytes of the snapshot stream, or
 // io.EOF at its clean end.
-func (st *SnapStream) Next(max int) ([]byte, error) {
+func (st *snapStream) Next(max int) ([]byte, error) {
 	buf := make([]byte, max)
 	n, err := io.ReadFull(st.r, buf)
 	if n > 0 {
@@ -301,7 +301,7 @@ func (st *SnapStream) Next(max int) ([]byte, error) {
 
 // Close releases the stream, reaping the export goroutine if the stream
 // was abandoned partway.
-func (st *SnapStream) Close() error {
+func (st *snapStream) Close() error {
 	st.once.Do(func() {
 		st.r.CloseWithError(ErrSourceClosed)
 		<-st.done
@@ -315,7 +315,7 @@ func (st *SnapStream) Close() error {
 // the replica's lag reading stays fresh; the first heartbeat goes out
 // immediately.
 func (s *Source) StreamTail(ctx context.Context, from wal.LSN, send func(wire.WALChunk) error) error {
-	t, err := s.OpenTail(from)
+	t, err := s.openTail(from)
 	if err != nil {
 		return err
 	}
@@ -362,7 +362,7 @@ func (s *Source) StreamTail(ctx context.Context, from wal.LSN, send func(wire.WA
 // when the stream is complete. The boolean reports whether a full
 // snapshot (rather than a delta) was shipped.
 func (s *Source) StreamSnap(ctx context.Context, since wal.LSN, send func(wire.SnapChunk) error) (bool, error) {
-	st, err := s.OpenSnap(since)
+	st, err := s.openSnap(since)
 	if err != nil {
 		return false, err
 	}
@@ -371,20 +371,20 @@ func (s *Source) StreamSnap(ctx context.Context, since wal.LSN, send func(wire.S
 	for {
 		select {
 		case <-ctx.Done():
-			return st.Full, ctx.Err()
+			return st.full, ctx.Err()
 		case <-s.closed:
-			return st.Full, ErrSourceClosed
+			return st.full, ErrSourceClosed
 		default:
 		}
 		data, err := st.Next(wire.MaxReplChunk)
 		if err == io.EOF {
-			return st.Full, nil
+			return st.full, nil
 		}
 		if err != nil {
-			return st.Full, err
+			return st.full, err
 		}
 		if err := send(wire.SnapChunk{Offset: off, Data: data}); err != nil {
-			return st.Full, err
+			return st.full, err
 		}
 		off += uint64(len(data))
 		s.chunks.Add(1)

@@ -12,11 +12,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"spatialjoin"
 	"spatialjoin/internal/fault"
+	"spatialjoin/internal/geom"
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/server"
 	"spatialjoin/internal/storage"
@@ -179,7 +181,8 @@ func TestWireChaosTimeout(t *testing.T) {
 
 // TestWireBadRequestAndNotFound asserts malformed and misdirected
 // requests get typed verdicts without poisoning the session: the same
-// connection answers a good query afterwards.
+// connection answers a good query afterwards. A SELECT window with NaN or
+// infinite bounds is a bad request too.
 func TestWireBadRequestAndNotFound(t *testing.T) {
 	db, r, s := newServerDB(t, false, nil)
 	want, _, err := db.Join(r, s, spatialjoin.Overlaps(), spatialjoin.ScanStrategy)
@@ -204,6 +207,12 @@ func TestWireBadRequestAndNotFound(t *testing.T) {
 		}, wire.StatusBadRequest},
 		{"unknown strategy", func() (*wire.Result, error) {
 			return cli.Join(ctx, "r", "s", wire.Overlaps(), 9)
+		}, wire.StatusBadRequest},
+		{"NaN window", func() (*wire.Result, error) {
+			return cli.Select(ctx, "s", geom.Rect{MinX: math.NaN(), MaxX: 500, MaxY: 500}, wire.Overlaps(), wire.StrategyTree)
+		}, wire.StatusBadRequest},
+		{"infinite window", func() (*wire.Result, error) {
+			return cli.Select(ctx, "s", geom.NewRect(0, 0, math.Inf(1), 500), wire.Overlaps(), wire.StrategyScan)
 		}, wire.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -362,6 +362,8 @@ func statusOf(stats spatialjoin.Stats, err error, draining bool) wire.Status {
 			return wire.StatusShuttingDown
 		}
 		return wire.StatusTimeout
+	case errors.Is(err, spatialjoin.ErrInvalidGeometry):
+		return wire.StatusBadRequest
 	default:
 		return wire.StatusInternal
 	}

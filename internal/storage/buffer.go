@@ -38,11 +38,9 @@ func (s PoolStats) HitRatio() float64 {
 }
 
 // BufferPool caches up to Capacity pages in memory with LRU replacement.
-// Pages can be pinned (the paper locks index roots in main memory); pinned
-// pages are never evicted. BufferPool is safe for concurrent use: the frame
-// table is guarded by a mutex, while the activity counters are atomics so
-// concurrent readers can snapshot statistics without serializing on the
-// frame lock.
+// BufferPool is safe for concurrent use: the frame table is guarded by a
+// mutex, while the activity counters are atomics so concurrent readers can
+// snapshot statistics without serializing on the frame lock.
 //
 // Every physical transfer is verified end-to-end: pages read from the
 // device are checked against the device's recorded checksum, so a page
@@ -91,7 +89,6 @@ const lsnUnlogged = int64(-1)
 type frame struct {
 	id      PageID
 	page    *Page
-	pins    int
 	dirty   bool
 	recLSN  int64
 	redoLSN int64
@@ -232,10 +229,10 @@ func (bp *BufferPool) fetchLocked(id PageID) (*Page, error) {
 // evictIfFullLocked makes room for one more frame, writing back a dirty
 // victim. A victim whose write-back fails permanently is skipped — it stays
 // resident and dirty so the data is not lost — and the next least-recently
-// used unpinned frame is tried instead. Under a WAL, frames dirtied by an
-// open transaction are likewise skipped (no-steal: an uncommitted image
-// must never reach the device), and committed frames force the log durable
-// before the write-back. It fails when every frame is pinned or unwritable.
+// used frame is tried instead. Under a WAL, frames dirtied by an open
+// transaction are likewise skipped (no-steal: an uncommitted image must
+// never reach the device), and committed frames force the log durable
+// before the write-back. It fails when every frame is held or unwritable.
 func (bp *BufferPool) evictIfFullLocked() error {
 	if bp.lru.Len() < bp.capacity {
 		return nil
@@ -243,9 +240,6 @@ func (bp *BufferPool) evictIfFullLocked() error {
 	var lastErr error
 	for el := bp.lru.Back(); el != nil; el = el.Prev() {
 		f := el.Value.(*frame)
-		if f.pins > 0 {
-			continue
-		}
 		if f.dirty && bp.wal != nil && f.recLSN == lsnUnlogged {
 			continue
 		}
@@ -270,42 +264,12 @@ func (bp *BufferPool) evictIfFullLocked() error {
 	if lastErr != nil {
 		return fmt.Errorf("storage: buffer pool full and no victim writable: %w", lastErr)
 	}
-	return fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned or held by an open transaction", bp.capacity)
-}
-
-// Pin fetches the page and marks it non-evictable until a matching Unpin.
-func (bp *BufferPool) Pin(id PageID) (*Page, error) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	p, err := bp.fetchLocked(id)
-	if err != nil {
-		return nil, err
-	}
-	bp.frames[id].Value.(*frame).pins++
-	return p, nil
-}
-
-// Unpin releases one pin on the page. Unpinning a page that is not resident
-// or not pinned is an error, and never drives the pin count negative — a
-// double Unpin cannot make a still-pinned page evictable.
-func (bp *BufferPool) Unpin(id PageID) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	el, ok := bp.frames[id]
-	if !ok {
-		return fmt.Errorf("storage: unpin of non-resident page %v", id)
-	}
-	f := el.Value.(*frame)
-	if f.pins == 0 {
-		return fmt.Errorf("storage: unpin of unpinned page %v", id)
-	}
-	f.pins--
-	return nil
+	return fmt.Errorf("storage: buffer pool exhausted: all %d frames are held by an open transaction", bp.capacity)
 }
 
 // MarkDirty records that the cached copy of the page was modified, so it
 // will be written back on eviction or Flush. Under a WAL the frame becomes
-// unlogged-dirty: pinned in memory until the transaction layer logs its
+// unlogged-dirty: held in memory until the transaction layer logs its
 // image and reports the covering commit LSN via SetPageLSN.
 func (bp *BufferPool) MarkDirty(id PageID) error {
 	bp.mu.Lock()
@@ -526,18 +490,12 @@ func pageIDLess(a, b PageID) bool {
 
 // DropAll flushes and then empties the pool, so the next access to any page
 // is a guaranteed miss. Experiments use it to start measurements cold.
-// Pinned pages may not be dropped. When a write-back fails, frames whose
-// pages were flushed are marked clean (they will not be double-written
-// later), nothing is dropped, and the error is returned — DropAll after a
-// partial failure is safe to retry.
+// When a write-back fails, frames whose pages were flushed are marked clean
+// (they will not be double-written later), nothing is dropped, and the
+// error is returned — DropAll after a partial failure is safe to retry.
 func (bp *BufferPool) DropAll() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	for el := bp.lru.Front(); el != nil; el = el.Next() {
-		if el.Value.(*frame).pins > 0 {
-			return fmt.Errorf("storage: DropAll with pinned page %v", el.Value.(*frame).id)
-		}
-	}
 	if err := bp.flushLocked(); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -237,53 +238,24 @@ func TestBufferPoolLRUEviction(t *testing.T) {
 	}
 }
 
-func TestBufferPoolPinPreventsEviction(t *testing.T) {
-	d, bp := newPoolT(t, 128, 2)
+// TestBufferPoolAllHeldFails checks the exhausted-pool error: when every
+// frame is dirtied by an open transaction under a WAL, no frame may be
+// evicted, so a miss has nowhere to go.
+func TestBufferPoolAllHeldFails(t *testing.T) {
+	d, bp := newPoolT(t, 128, 1)
+	bp.SetWAL(&fakeWAL{})
 	f := d.CreateFile()
 	a := allocInit(t, d, f)
 	b := allocInit(t, d, f)
-	c := allocInit(t, d, f)
-
-	if _, err := bp.Pin(a); err != nil {
+	if _, err := bp.Fetch(a); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := bp.Unpin(a); err != nil {
-			t.Error(err)
-		}
-	}()
-	bp.Fetch(b)
-	bp.Fetch(c) // must evict b, not pinned a
-	if !bp.Resident(a) {
-		t.Fatal("pinned page was evicted")
+	if err := bp.MarkDirty(a); err != nil {
+		t.Fatal(err)
 	}
-	if bp.Resident(b) {
-		t.Fatal("b should have been evicted instead")
-	}
-}
-
-func TestBufferPoolAllPinnedFails(t *testing.T) {
-	d, bp := newPoolT(t, 128, 1)
-	f := d.CreateFile()
-	a := allocInit(t, d, f)
-	b := allocInit(t, d, f)
-	//sjlint:ignore pinunpin the frame must stay pinned so Fetch has no victim; the pool is test-scoped
-	bp.Pin(a)
-	if _, err := bp.Fetch(b); err == nil {
-		t.Fatal("fetch must fail when every frame is pinned")
-	}
-}
-
-func TestBufferPoolUnpinErrors(t *testing.T) {
-	d, bp := newPoolT(t, 128, 2)
-	f := d.CreateFile()
-	a := allocInit(t, d, f)
-	if err := bp.Unpin(a); err == nil {
-		t.Fatal("unpin of non-resident page must fail")
-	}
-	bp.Fetch(a)
-	if err := bp.Unpin(a); err == nil {
-		t.Fatal("unpin of unpinned page must fail")
+	_, err := bp.Fetch(b)
+	if err == nil || !strings.Contains(err.Error(), "held by an open transaction") {
+		t.Fatalf("fetch with every frame held = %v, want the exhausted-pool error", err)
 	}
 }
 
@@ -334,11 +306,6 @@ func TestBufferPoolDropAll(t *testing.T) {
 	}
 	if bp.Resident(a) {
 		t.Fatal("page still resident after DropAll")
-	}
-	//sjlint:ignore pinunpin pin held deliberately so DropAll has a reason to refuse
-	bp.Pin(a)
-	if err := bp.DropAll(); err == nil {
-		t.Fatal("DropAll must refuse with pinned pages")
 	}
 }
 
@@ -616,46 +583,6 @@ func newFlakyPool(t *testing.T, capacity, attempts int) (*flakyDevice, *BufferPo
 	}
 	bp.SetRetryPolicy(RetryPolicy{MaxAttempts: attempts})
 	return d, bp
-}
-
-func TestBufferPoolDoubleUnpinNeverGoesNegative(t *testing.T) {
-	d, bp := newPoolT(t, 128, 2)
-	f := d.CreateFile()
-	a := allocInit(t, d, f)
-	b := allocInit(t, d, f)
-	c := allocInit(t, d, f)
-
-	//sjlint:ignore pinunpin deliberately unbalanced: this test walks the pin count through every edge case
-	bp.Pin(a)
-	bp.Pin(a) // pin count 2
-	if err := bp.Unpin(a); err != nil {
-		t.Fatal(err)
-	}
-	// One pin remains: the page must still be unevictable.
-	bp.Fetch(b)
-	if _, err := bp.Fetch(c); err != nil {
-		t.Fatal(err)
-	}
-	if !bp.Resident(a) {
-		t.Fatal("page with a remaining pin was evicted after a partial unpin")
-	}
-	if err := bp.Unpin(a); err != nil {
-		t.Fatal(err)
-	}
-	// Pin count is now 0; a further Unpin must error, not drive it to -1
-	// (which would let a later Pin be cancelled by the stale unpin).
-	if err := bp.Unpin(a); err == nil {
-		t.Fatal("double unpin must fail")
-	}
-	//sjlint:ignore pinunpin final pin intentionally outlives the test to prove the count recovered
-	if _, err := bp.Pin(a); err != nil {
-		t.Fatal(err)
-	}
-	bp.Fetch(b)
-	bp.Fetch(c)
-	if !bp.Resident(a) {
-		t.Fatal("double unpin corrupted the pin count: repinned page was evicted")
-	}
 }
 
 func TestPoolRetriesTransientReadsThenSucceeds(t *testing.T) {

@@ -59,10 +59,15 @@ func (db *Database) Select(c *Collection, o Spatial, op Operator, strategy Strat
 // SelectContext is Select bounded by a context (composed with
 // Config.QueryTimeout when set). Both strategies read only the collection's
 // heap pages, so a permanent storage fault there surfaces as a typed error:
-// there is no other copy to fall back on.
+// there is no other copy to fall back on. A selector whose bounds are not
+// finite is rejected with ErrInvalidGeometry: no strategy can answer it
+// consistently.
 func (db *Database) SelectContext(ctx context.Context, c *Collection, o Spatial, op Operator, strategy Strategy) ([]int, Stats, error) {
 	if c == nil || o == nil || op == nil {
 		return nil, Stats{}, fmt.Errorf("spatialjoin: nil select argument")
+	}
+	if b := o.Bounds(); !finiteRect(b) {
+		return nil, Stats{}, fmt.Errorf("%w: selector bounds %v are not finite", ErrInvalidGeometry, b)
 	}
 	if err := db.checkUsable(); err != nil {
 		return nil, Stats{}, err
@@ -168,7 +173,7 @@ func (db *Database) joinOnce(ctx context.Context, r, s *Collection, op Operator,
 		if err != nil {
 			return nil, Stats{IndexReads: scrubbed}, err
 		}
-		ms, stats, err := join.IndexJoin(ctx, ix.ix, r.table, s.table, db.cfg.Workers)
+		ms, stats, err := join.IndexJoin(ctx, ix.ix, r.table, s.table)
 		stats.IndexReads += scrubbed
 		return ms, stats, err
 	default:

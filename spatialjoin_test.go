@@ -168,6 +168,33 @@ func TestInsertRejectsNonFiniteGeometry(t *testing.T) {
 	}
 }
 
+// TestSelectRejectsNonFiniteWindow checks every strategy refuses a selector
+// whose bounds are NaN or infinite with ErrInvalidGeometry, instead of the
+// tree strategy silently answering no rows while scan answers some, and
+// that the database keeps answering valid windows afterwards.
+func TestSelectRejectsNonFiniteWindow(t *testing.T) {
+	db := openT(t)
+	c, _ := db.CreateCollection("objs")
+	loadRandomRects(t, c, 3, 200)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, w := range []Spatial{
+		Rect{MinX: nan, MinY: 0, MaxX: 500, MaxY: 500},
+		NewRect(0, 0, inf, 500),
+		NewRect(-inf, -inf, inf, inf),
+		Pt(nan, 3),
+	} {
+		for _, strategy := range []Strategy{TreeStrategy, ScanStrategy} {
+			ids, _, err := db.Select(c, w, Overlaps(), strategy)
+			if !errors.Is(err, ErrInvalidGeometry) {
+				t.Errorf("%s Select(%v) = %d rows, %v; want ErrInvalidGeometry", strategy, w.Bounds(), len(ids), err)
+			}
+		}
+	}
+	if ids, _, err := db.Select(c, NewRect(0, 0, 1000, 1000), Overlaps(), TreeStrategy); err != nil || len(ids) == 0 {
+		t.Fatalf("valid select after rejections: %d rows, %v", len(ids), err)
+	}
+}
+
 func TestSelectStrategiesAgree(t *testing.T) {
 	db := openT(t)
 	c, _ := db.CreateCollection("objs")
