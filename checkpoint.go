@@ -160,8 +160,7 @@ func (db *Database) CheckpointTotals() CheckpointTotals {
 func (db *Database) RecoveryInfo() RecoveryStats { return db.recovered }
 
 // manifestLocked snapshots the catalog — every registered collection and
-// join index with the commit LSN its files cover — in deterministic (name,
-// key) order. Caller holds db.mu.
+// join index — in deterministic (name, key) order. Caller holds db.mu.
 func (db *Database) manifestLocked() wal.Manifest {
 	var m wal.Manifest
 	names := make([]string, 0, len(db.collections))
@@ -171,10 +170,7 @@ func (db *Database) manifestLocked() wal.Manifest {
 	sort.Strings(names)
 	for _, name := range names {
 		c := db.collections[name]
-		m.Collections = append(m.Collections, wal.ManifestCollection{
-			NewCollection: wal.NewCollection{Name: c.name, HeapFile: c.rel.FileID()},
-			CoveringLSN:   c.lastLSN,
-		})
+		m.Collections = append(m.Collections, wal.NewCollection{Name: c.name, HeapFile: c.rel.FileID()})
 	}
 	keys := make([]string, 0, len(db.joinIndices))
 	for key := range db.joinIndices {
@@ -183,11 +179,8 @@ func (db *Database) manifestLocked() wal.Manifest {
 	sort.Strings(keys)
 	for _, key := range keys {
 		ji := db.joinIndices[key]
-		m.JoinIndices = append(m.JoinIndices, wal.ManifestJoinIndex{
-			NewJoinIndex: wal.NewJoinIndex{
-				R: ji.r.name, S: ji.s.name, Operator: ji.op.Name(), PairFile: ji.file.File(),
-			},
-			CoveringLSN: ji.lastLSN,
+		m.JoinIndices = append(m.JoinIndices, wal.NewJoinIndex{
+			R: ji.r.name, S: ji.s.name, Operator: ji.op.Name(), PairFile: ji.file.File(),
 		})
 	}
 	return m

@@ -12,7 +12,6 @@ import (
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/repl"
-	"spatialjoin/internal/storage"
 	"spatialjoin/internal/wire"
 )
 
@@ -25,7 +24,7 @@ type replRow struct {
 	seedPages  int
 	tailBytes  int
 	deltaBytes int
-	deltaInfo  spatialjoin.DeltaInfo
+	deltaInfo  spatialjoin.SnapshotInfo
 	fullBytes  int
 	fullPages  int
 }
@@ -99,12 +98,12 @@ func measureReplRow(seed int64, base, divergence int) (replRow, error) {
 		return row, fmt.Errorf("source shipped a full snapshot where a delta was expected")
 	}
 	row.deltaBytes = deltaBuf.Len()
-	// Decode the shipped stream against a scratch disk to count the pages
-	// it actually carries.
-	row.deltaInfo, err = spatialjoin.ApplySnapshotDelta(storage.NewDisk(cfg.PageSize), &deltaBuf)
+	// Decode the shipped stream to count the pages it actually carries.
+	delta, err := spatialjoin.ReadSnapshot(&deltaBuf)
 	if err != nil {
 		return row, err
 	}
+	row.deltaInfo = delta.Info
 
 	var fullBuf countingWriter
 	fullInfo, err := db.ExportSnapshot(&fullBuf)
@@ -122,10 +121,10 @@ func measureReplRow(seed int64, base, divergence int) (replRow, error) {
 // re-seeding from a full snapshot. Each row rebuilds the same primary
 // from the seed, fixes the replica position right after a snapshot seed,
 // and diverges by a different insert count, so rows are independent and
-// deterministic in the seed. The point is the shape — tail cost tracks
-// the divergence, delta cost tracks the dirtied page set, full-snapshot
-// cost tracks the whole database — which is why the follower prefers
-// them in exactly that order.
+// deterministic in the seed. The point is the shape: tail cost tracks
+// the divergence, delta cost tracks the dirtied page set plus the
+// retained log, and full-snapshot cost tracks the database's non-zero
+// pages.
 func printRepl(out io.Writer, seed int64) error {
 	const baseRects = 2000
 	rows := make([]replRow, 0, 3)
@@ -144,14 +143,15 @@ func printRepl(out io.Writer, seed int64) error {
 	fmt.Fprintf(w, "divergence (inserts)\ttail bytes\tdelta bytes\tdelta data pages\tdelta log pages\tfull bytes\tfull pages\t\n")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
-			r.divergence, r.tailBytes, r.deltaBytes, r.deltaInfo.DataPages, r.deltaInfo.LogPages,
+			r.divergence, r.tailBytes, r.deltaBytes, r.deltaInfo.Pages-r.deltaInfo.LogPages, r.deltaInfo.LogPages,
 			r.fullBytes, r.fullPages)
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "tail ships only the records behind the position; the delta ships the dirtied")
-	fmt.Fprintln(out, "pages plus the whole log; the full snapshot ships every page of the device.")
+	fmt.Fprintln(out, "pages plus the whole log; the full snapshot ships every non-zero page of the")
+	fmt.Fprintln(out, "device. Page counts are shipped pages: all-zero pages are implied, not sent.")
 	return nil
 }
 

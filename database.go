@@ -107,9 +107,8 @@ type Database struct {
 	closed      bool
 
 	// mu guards the transaction bookkeeping a fuzzy checkpoint must see
-	// atomically: nextTxn, activeTxns, the catalog maps' membership, and
-	// each object's lastLSN stamp. Queries and in-transaction page work
-	// never hold it.
+	// atomically: nextTxn, activeTxns, and the catalog maps' membership.
+	// Queries and in-transaction page work never hold it.
 	mu sync.Mutex
 	// activeTxns maps every in-flight transaction to its begin LSN, from
 	// before its begin record is appended until after its frames learn
@@ -123,26 +122,12 @@ type Database struct {
 
 // Open creates an empty database.
 func Open(cfg Config) (*Database, error) {
-	if cfg.PageSize <= 0 || cfg.BufferPages <= 0 {
-		return nil, fmt.Errorf("spatialjoin: page size and buffer pages must be positive")
-	}
-	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
-		return nil, fmt.Errorf("spatialjoin: fill factor %g out of (0,1]", cfg.FillFactor)
-	}
-	if cfg.JoinIndexOrder < 3 {
-		return nil, fmt.Errorf("spatialjoin: join index order %d < 3", cfg.JoinIndexOrder)
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("spatialjoin: negative worker count %d", cfg.Workers)
-	}
-	if cfg.QueryTimeout < 0 {
-		return nil, fmt.Errorf("spatialjoin: negative query timeout %v", cfg.QueryTimeout)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	var device storage.Device = storage.NewDisk(cfg.PageSize)
-	var fd *fault.Disk
 	if cfg.Fault != nil {
-		fd = fault.Wrap(device, *cfg.Fault)
-		device = fd
+		device = fault.Wrap(device, *cfg.Fault)
 	}
 	var lg *wal.Log
 	if cfg.WAL {
@@ -154,6 +139,38 @@ func Open(cfg Config) (*Database, error) {
 			return nil, err
 		}
 	}
+	db, err := newDatabase(cfg, device, lg, 1)
+	if err != nil {
+		return nil, err
+	}
+	db.registerMetrics()
+	return db, nil
+}
+
+// validate rejects a configuration that Open and Reopen cannot run with.
+func (cfg Config) validate() error {
+	if cfg.PageSize <= 0 || cfg.BufferPages <= 0 {
+		return fmt.Errorf("spatialjoin: page size and buffer pages must be positive")
+	}
+	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
+		return fmt.Errorf("spatialjoin: fill factor %g out of (0,1]", cfg.FillFactor)
+	}
+	if cfg.JoinIndexOrder < 3 {
+		return fmt.Errorf("spatialjoin: join index order %d < 3", cfg.JoinIndexOrder)
+	}
+	if cfg.Workers < 0 {
+		return fmt.Errorf("spatialjoin: negative worker count %d", cfg.Workers)
+	}
+	if cfg.QueryTimeout < 0 {
+		return fmt.Errorf("spatialjoin: negative query timeout %v", cfg.QueryTimeout)
+	}
+	return nil
+}
+
+// newDatabase assembles a database over device with an empty catalog: lg
+// is its log (nil without a WAL) and nextTxn the first transaction ID it
+// hands out.
+func newDatabase(cfg Config, device storage.Device, lg *wal.Log, nextTxn uint64) (*Database, error) {
 	pool, err := storage.NewBufferPool(device, cfg.BufferPages)
 	if err != nil {
 		return nil, err
@@ -164,18 +181,17 @@ func Open(cfg Config) (*Database, error) {
 	if lg != nil {
 		pool.SetWAL(lg)
 	}
-	db := &Database{
+	fd, _ := device.(*fault.Disk)
+	return &Database{
 		cfg:         cfg,
 		pool:        pool,
 		faultDisk:   fd,
 		wal:         lg,
 		collections: make(map[string]*Collection),
 		joinIndices: make(map[string]*JoinIndex),
-		nextTxn:     1,
+		nextTxn:     nextTxn,
 		activeTxns:  make(map[uint64]wal.LSN),
-	}
-	db.registerMetrics()
-	return db, nil
+	}, nil
 }
 
 // Metrics returns the registry configured at Open, or nil.
@@ -193,10 +209,6 @@ type Collection struct {
 	rel   *relation.Relation
 	table join.Table
 	index *rtree.Tree
-	// lastLSN is the commit LSN of the newest transaction that touched the
-	// collection's files; checkpoints record it in the manifest. Guarded by
-	// db.mu.
-	lastLSN wal.LSN
 }
 
 // collectionSchema is the fixed schema of every collection: an arbitrary
@@ -219,7 +231,7 @@ func (db *Database) CreateCollection(name string) (*Collection, error) {
 		return nil, fmt.Errorf("spatialjoin: collection %q already exists", name)
 	}
 	var c *Collection
-	lsn, err := db.runTxn(func(txn uint64) error {
+	err := db.runTxn(func(txn uint64) error {
 		sch, err := collectionSchema()
 		if err != nil {
 			return err
@@ -248,7 +260,6 @@ func (db *Database) CreateCollection(name string) (*Collection, error) {
 		return nil, err
 	}
 	db.mu.Lock()
-	c.lastLSN = lsn
 	db.collections[name] = c
 	db.mu.Unlock()
 	return c, nil
@@ -375,7 +386,7 @@ func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
 		return 0, fmt.Errorf("%w: bounds %v are not finite", ErrInvalidGeometry, b)
 	}
 	var id int
-	lsn, err := c.db.runTxn(func(uint64) error {
+	err := c.db.runTxn(func(uint64) error {
 		var err error
 		id, err = c.rel.Insert(relation.Tuple{payload, shape})
 		if err != nil {
@@ -387,15 +398,6 @@ func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	db := c.db
-	db.mu.Lock()
-	c.lastLSN = lsn
-	for _, ji := range db.joinIndices {
-		if ji.r == c || ji.s == c {
-			ji.lastLSN = lsn
-		}
-	}
-	db.mu.Unlock()
 	return id, nil
 }
 

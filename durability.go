@@ -20,32 +20,32 @@ type RecoveryStats = wal.RecoveryStats
 // errClosed refuses work after an orderly Close.
 var errClosed = errors.New("spatialjoin: database is closed")
 
-// runTxn executes one atomic update and returns the commit LSN (0 without
-// a WAL). Without a WAL it just runs f. With one, it wraps f in
-// begin/commit records: after f mutates pages in the buffer pool (where
-// the no-steal discipline holds them back from the device), the write
-// set's after-images and the commit record are appended to the log, the
-// log is forced durable per the group-commit policy, and only then are the
-// frames released for write-back. A crash at any point therefore leaves
-// the device in either the pre- or the post-transaction committed state.
-// An error from f aborts the transaction in the log and poisons the
-// database — in-memory structures may hold half a transaction — and every
-// later call is refused until the device is reopened through recovery.
+// runTxn executes one atomic update. Without a WAL it just runs f. With
+// one, it wraps f in begin/commit records: after f mutates pages in the
+// buffer pool (where the no-steal discipline holds them back from the
+// device), the write set's after-images and the commit record are appended
+// to the log, the log is forced durable per the group-commit policy, and
+// only then are the frames released for write-back. A crash at any point
+// therefore leaves the device in either the pre- or the post-transaction
+// committed state. An error from f aborts the transaction in the log and
+// poisons the database — in-memory structures may hold half a transaction
+// — and every later call is refused until the device is reopened through
+// recovery.
 //
 // The transaction is registered in the active-transaction table from
 // before its begin record until after its frames learn their covering LSN,
 // under the same lock a checkpoint snapshots the table with: a fuzzy
 // checkpoint therefore always either sees the transaction as active or
 // sees its pages' redo floors, never neither.
-func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
+func (db *Database) runTxn(f func(txn uint64) error) error {
 	if db.poisoned != nil {
-		return 0, db.poisoned
+		return db.poisoned
 	}
 	if db.closed {
-		return 0, errClosed
+		return errClosed
 	}
 	if db.wal == nil {
-		return 0, f(0)
+		return f(0)
 	}
 	fault.CrashPoint("txn.begin")
 	db.mu.Lock()
@@ -62,7 +62,7 @@ func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
 	if err := f(txn); err != nil {
 		db.wal.Abort(txn)
 		finish()
-		return 0, db.poison(err)
+		return db.poison(err)
 	}
 	fault.CrashPoint("txn.mutated")
 	dirty := db.pool.UnloggedDirtyPages()
@@ -71,7 +71,7 @@ func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
 		if err != nil {
 			db.wal.Abort(txn)
 			finish()
-			return 0, db.poison(err)
+			return db.poison(err)
 		}
 		db.wal.AppendImage(txn, id, img)
 	}
@@ -82,7 +82,7 @@ func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
 		// failed; the transaction may be durable, so it must not be
 		// aborted — recovery decides.
 		finish()
-		return 0, db.poison(err)
+		return db.poison(err)
 	}
 	// Only now, with the commit record (at least) appended, may the frames
 	// learn their covering LSN: releasing them earlier would let an
@@ -91,12 +91,12 @@ func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
 	for _, id := range dirty {
 		if err := db.pool.SetPageLSN(id, lsn, beginLSN); err != nil {
 			finish()
-			return 0, db.poison(err)
+			return db.poison(err)
 		}
 	}
 	finish()
 	fault.CrashPoint("txn.committed")
-	return lsn, nil
+	return nil
 }
 
 // poison marks the database as needing recovery after a failed WAL
@@ -158,14 +158,8 @@ func reopenWith(cfg Config, device storage.Device, ignoreCheckpoints bool, apply
 	if !cfg.WAL {
 		return nil, stats, fmt.Errorf("spatialjoin: Reopen requires Config.WAL")
 	}
-	if cfg.PageSize <= 0 || cfg.BufferPages <= 0 {
-		return nil, stats, fmt.Errorf("spatialjoin: page size and buffer pages must be positive")
-	}
-	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
-		return nil, stats, fmt.Errorf("spatialjoin: fill factor %g out of (0,1]", cfg.FillFactor)
-	}
-	if cfg.JoinIndexOrder < 3 {
-		return nil, stats, fmt.Errorf("spatialjoin: join index order %d < 3", cfg.JoinIndexOrder)
+	if err := cfg.validate(); err != nil {
+		return nil, stats, err
 	}
 	if device.PageSize() != cfg.PageSize {
 		return nil, stats, fmt.Errorf("spatialjoin: device page size %d != configured %d",
@@ -184,24 +178,9 @@ func reopenWith(cfg Config, device storage.Device, ignoreCheckpoints bool, apply
 	if err != nil {
 		return nil, stats, err
 	}
-	pool, err := storage.NewBufferPool(device, cfg.BufferPages)
+	db, err := newDatabase(cfg, device, res.Log, stats.NextTxn)
 	if err != nil {
 		return nil, stats, err
-	}
-	if cfg.Retry != nil {
-		pool.SetRetryPolicy(*cfg.Retry)
-	}
-	pool.SetWAL(res.Log)
-	fd, _ := device.(*fault.Disk)
-	db := &Database{
-		cfg:         cfg,
-		pool:        pool,
-		faultDisk:   fd,
-		wal:         res.Log,
-		collections: make(map[string]*Collection),
-		joinIndices: make(map[string]*JoinIndex),
-		nextTxn:     stats.NextTxn,
-		activeTxns:  make(map[uint64]wal.LSN),
 	}
 	// The manifest registers pre-checkpoint objects first — truncation may
 	// have destroyed their catalog records — then the scanned records add
@@ -209,12 +188,12 @@ func reopenWith(cfg Config, device storage.Device, ignoreCheckpoints bool, apply
 	// registered, so a surviving record for a manifest object is a no-op.
 	if cp := res.Checkpoint; cp != nil {
 		for _, mc := range cp.Manifest.Collections {
-			if err := db.reopenCollection(mc.NewCollection, mc.CoveringLSN); err != nil {
+			if err := db.reopenCollection(mc); err != nil {
 				return nil, stats, fmt.Errorf("spatialjoin: recovering collection %q: %w", mc.Name, err)
 			}
 		}
 		for _, mj := range cp.Manifest.JoinIndices {
-			if err := db.reopenJoinIndex(mj.NewJoinIndex, mj.CoveringLSN); err != nil {
+			if err := db.reopenJoinIndex(mj); err != nil {
 				return nil, stats, fmt.Errorf("spatialjoin: recovering join index %s ⋈ %s on %s: %w",
 					mj.R, mj.S, mj.Operator, err)
 			}
@@ -227,7 +206,7 @@ func reopenWith(cfg Config, device storage.Device, ignoreCheckpoints bool, apply
 			if err != nil {
 				return nil, stats, err
 			}
-			if err := db.reopenCollection(nc, rec.LSN); err != nil {
+			if err := db.reopenCollection(nc); err != nil {
 				return nil, stats, fmt.Errorf("spatialjoin: recovering collection %q: %w", nc.Name, err)
 			}
 		case wal.RecNewJoinIndex:
@@ -235,7 +214,7 @@ func reopenWith(cfg Config, device storage.Device, ignoreCheckpoints bool, apply
 			if err != nil {
 				return nil, stats, err
 			}
-			if err := db.reopenJoinIndex(nj, rec.LSN); err != nil {
+			if err := db.reopenJoinIndex(nj); err != nil {
 				return nil, stats, fmt.Errorf("spatialjoin: recovering join index %s ⋈ %s on %s: %w",
 					nj.R, nj.S, nj.Operator, err)
 			}
@@ -281,7 +260,7 @@ func (db *Database) RetainWAL(lsn wal.LSN) {
 // reopenCollection rebuilds one collection from its recovered heap file,
 // re-inserting every tuple into a fresh R-tree (tuple IDs come back in heap
 // order, equal to insertion order for sequentially grown collections).
-func (db *Database) reopenCollection(nc wal.NewCollection, lsn wal.LSN) error {
+func (db *Database) reopenCollection(nc wal.NewCollection) error {
 	if _, dup := db.collections[nc.Name]; dup {
 		return nil
 	}
@@ -312,7 +291,7 @@ func (db *Database) reopenCollection(nc wal.NewCollection, lsn wal.LSN) error {
 		return err
 	}
 	db.collections[nc.Name] = &Collection{
-		db: db, name: nc.Name, rel: rel, table: table, index: index, lastLSN: lsn,
+		db: db, name: nc.Name, rel: rel, table: table, index: index,
 	}
 	return nil
 }
@@ -320,7 +299,7 @@ func (db *Database) reopenCollection(nc wal.NewCollection, lsn wal.LSN) error {
 // reopenJoinIndex rebuilds one join index by replaying its recovered pair
 // file into a fresh B+-tree (Add de-duplicates, so the file needs no
 // compaction discipline).
-func (db *Database) reopenJoinIndex(nj wal.NewJoinIndex, lsn wal.LSN) error {
+func (db *Database) reopenJoinIndex(nj wal.NewJoinIndex) error {
 	r, ok := db.collections[nj.R]
 	if !ok {
 		return fmt.Errorf("collection %q not recovered", nj.R)
@@ -363,7 +342,7 @@ func (db *Database) reopenJoinIndex(nj wal.NewJoinIndex, lsn wal.LSN) error {
 		return addErr
 	}
 	db.joinIndices[joinIndexKey(r, s, op)] = &JoinIndex{
-		r: r, s: s, op: op, ix: ix, file: file, lastLSN: lsn,
+		r: r, s: s, op: op, ix: ix, file: file,
 	}
 	return nil
 }

@@ -69,12 +69,12 @@ func TestFollowerSurvivesLinkKills(t *testing.T) {
 }
 
 // TestFollowerSurvivesSeedKilledMidApply cuts the very first snapshot
-// stream partway through the device image: the half-applied seed must be
-// discarded and the retry must converge.
+// stream partway through the image: the torn seed must be rejected before
+// it writes a page, and the retry must converge.
 func TestFollowerSurvivesSeedKilledMidApply(t *testing.T) {
 	p := startPrimary(t, nil)
 	link := newChaosLink(p.addr)
-	link.armKill(4096) // well inside the image, past the header
+	link.armKill(1024) // well inside the image, past the header
 	f := startFollower(t, p, func(o *FollowerOptions) { o.Dial = link.dial })
 	waitConverged(t, f, p)
 	assertEquivalent(t, f, p)

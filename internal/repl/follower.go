@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -359,18 +358,16 @@ func (f *Follower) progressMark() int64 {
 // from a snapshot delta.
 var errResync = errors.New("repl: tail ask truncated on the primary; resyncing from a delta")
 
-// session drives one connection: seed or resync if needed, then tail the
-// log until the connection or the follower dies.
+// session drives one connection: catch up from a snapshot if needed, then
+// tail the log until the connection or the follower dies.
 func (f *Follower) session(conn net.Conn) error {
-	if f.db == nil {
-		f.toState(StateSeeding)
-		if err := f.fullSeed(conn, 1); err != nil {
-			return err
+	if f.db == nil || f.needResync.Load() {
+		if f.db == nil {
+			f.toState(StateSeeding)
+		} else {
+			f.toState(StateCatchingUp)
 		}
-		f.needResync.Store(false)
-	} else if f.needResync.Load() {
-		f.toState(StateCatchingUp)
-		if err := f.resync(conn, 1); err != nil {
+		if err := f.catchUp(conn, 1); err != nil {
 			return err
 		}
 		f.needResync.Store(false)
@@ -378,57 +375,22 @@ func (f *Follower) session(conn net.Conn) error {
 	return f.tail(conn, 2)
 }
 
-// fullSeed materializes a brand-new database from a full snapshot stream.
-func (f *Follower) fullSeed(conn net.Conn, req uint64) error {
-	if err := wire.WriteFrame(conn, wire.Frame{
-		Type: wire.TypeSnapDelta, Request: req,
-		Payload: wire.EncodeSnapDelta(wire.SnapDeltaRequest{SinceLSN: 0}),
-	}); err != nil {
-		return err
-	}
-	r := &snapReader{f: f, conn: conn, req: req}
-	db, _, err := spatialjoin.SeedFromSnapshot(f.opts.Config, r)
-	if err != nil {
-		return err
-	}
-	return f.installSeed(db, r)
-}
-
-// installSeed drains the stream's closing frame and swaps the seeded
-// database in, closing any predecessor.
-func (f *Follower) installSeed(db *spatialjoin.Database, r *snapReader) error {
-	if err := r.drain(); err != nil {
-		db.Close()
-		return err
-	}
-	disk, ok := db.Device().(*storage.Disk)
-	if !ok {
-		db.Close()
-		return fmt.Errorf("repl: seeded device %T is not a raw disk", db.Device())
-	}
-	f.mu.Lock()
-	old := f.db
-	f.db = db
-	f.disk = disk
-	f.applied = db.RecoveryInfo().NextApplyFloor
-	f.visible.Store(int64(db.DurableLSN()))
-	f.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	f.fullSeeds.Add(1)
-	return nil
-}
-
-// resync catches a diverged or truncated-past follower up from a snapshot
-// delta — or from a full snapshot, when the primary answers with one (its
-// dirty-page tracking did not reach back to our applied LSN) or when a
-// previous failed resync left no usable disk.
-func (f *Follower) resync(conn net.Conn, req uint64) error {
-	f.resyncs.Add(1)
+// catchUp seeds or resyncs the follower from one snapshot stream. It asks
+// for the pages changed since its applied floor, or for everything (since
+// 0) when it has no disk, and installs whichever form the primary answers
+// with: a primary whose dirty-page tracking does not reach back that far
+// answers a delta request with a full snapshot. The stream is verified end
+// to end before either form writes a page, so a torn or corrupt answer
+// leaves the follower as it was. A full snapshot seeds a fresh disk, and
+// readers keep the old database until it is swapped in; a delta patches
+// the replica's own disk, which then reopens through full-log replay.
+func (f *Follower) catchUp(conn net.Conn, req uint64) error {
 	since := f.applied
 	if f.disk == nil {
 		since = 0
+	}
+	if f.db != nil {
+		f.resyncs.Add(1)
 	}
 	if err := wire.WriteFrame(conn, wire.Frame{
 		Type: wire.TypeSnapDelta, Request: req,
@@ -437,64 +399,66 @@ func (f *Follower) resync(conn net.Conn, req uint64) error {
 		return err
 	}
 	r := &snapReader{f: f, conn: conn, req: req}
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return err
-	}
-	full, err := spatialjoin.SniffSnapshot(m[:])
+	snap, err := spatialjoin.ReadSnapshot(r)
 	if err != nil {
-		f.corrupt.Add(1)
-		return err
-	}
-	rr := io.MultiReader(bytes.NewReader(m[:]), r)
-	if full {
-		db, _, serr := spatialjoin.SeedFromSnapshot(f.opts.Config, rr)
-		if serr != nil {
-			return serr
+		if r.err == nil {
+			f.corrupt.Add(1) // the link delivered it; the image failed its checks
 		}
-		return f.installSeed(db, r)
-	}
-	// A delta patches the raw disk in place, so the database over it must
-	// close first; readers see the replica as unseeded (STALE) until the
-	// patched disk reopens through full-log replay.
-	f.mu.Lock()
-	old := f.db
-	f.db = nil
-	disk := f.disk
-	f.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	info, aerr := spatialjoin.ApplySnapshotDelta(disk, rr)
-	if aerr != nil {
-		// The disk may be half-patched: discard it so the next session
-		// reseeds from a full snapshot instead of trusting torn state.
-		f.dropDisk()
-		f.corrupt.Add(1)
-		return aerr
+		return err
 	}
 	if err := r.drain(); err != nil {
-		f.dropDisk()
 		return err
 	}
-	db, stats, rerr := spatialjoin.ReopenAt(f.opts.Config, disk, 1)
-	if rerr != nil {
-		f.dropDisk()
-		return rerr
+	if snap.Info.SinceLSN != 0 {
+		if f.disk == nil {
+			f.corrupt.Add(1)
+			return fmt.Errorf("repl: asked for a full snapshot, got a delta since LSN %d", snap.Info.SinceLSN)
+		}
+		err := f.swap(func() (*spatialjoin.Database, *storage.Disk, error) {
+			if err := snap.Patch(f.disk); err != nil {
+				return nil, nil, err
+			}
+			db, _, err := spatialjoin.ReopenAt(f.opts.Config, f.disk, 1)
+			return db, f.disk, err
+		})
+		if err == nil {
+			f.deltaPages.Add(int64(snap.Info.Pages))
+		}
+		return err
 	}
-	f.deltaPages.Add(int64(info.DataPages + info.LogPages))
-	f.mu.Lock()
-	f.db = db
-	f.applied = stats.NextApplyFloor
-	f.visible.Store(int64(db.DurableLSN()))
-	f.mu.Unlock()
+	db, err := snap.Seed(f.opts.Config)
+	if err != nil {
+		return err
+	}
+	// NewFollower refuses Config.Fault, so the seeded device is a raw disk.
+	disk := db.Device().(*storage.Disk)
+	if err := f.swap(func() (*spatialjoin.Database, *storage.Disk, error) { return db, disk, nil }); err != nil {
+		return err
+	}
+	f.fullSeeds.Add(1)
 	return nil
 }
 
-func (f *Follower) dropDisk() {
+// swap replaces the readers' database. It holds the write lock throughout,
+// so readers wait out the swap rather than see a gap. The current database
+// closes first, because open may rebuild over the same disk; open returns
+// the successor and the disk under it. A failed open leaves the follower
+// with neither, so the next session seeds from a full snapshot.
+func (f *Follower) swap(open func() (*spatialjoin.Database, *storage.Disk, error)) error {
 	f.mu.Lock()
-	f.disk = nil
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	if f.db != nil {
+		f.db.Close()
+	}
+	db, disk, err := open()
+	if err != nil {
+		f.db, f.disk = nil, nil
+		return err
+	}
+	f.db, f.disk = db, disk
+	f.applied = db.RecoveryInfo().NextApplyFloor
+	f.visible.Store(int64(db.DurableLSN()))
+	return nil
 }
 
 // tail streams the primary's log from the follower's durable end, applying
@@ -585,23 +549,13 @@ func needsRefresh(records []wal.Record) bool {
 }
 
 // refresh reopens the replica database through recovery floored at the
-// last applied LSN, absorbing freshly shipped commits. Readers block on
-// the swap rather than observing a stale window.
+// last applied LSN, absorbing freshly shipped commits.
 func (f *Follower) refresh() error {
 	f.refreshes.Add(1)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.db.Close()
-	db, stats, err := spatialjoin.ReopenAt(f.opts.Config, f.disk, f.applied)
-	if err != nil {
-		f.db = nil
-		f.disk = nil
-		return err
-	}
-	f.db = db
-	f.applied = stats.NextApplyFloor
-	f.visible.Store(int64(db.DurableLSN()))
-	return nil
+	return f.swap(func() (*spatialjoin.Database, *storage.Disk, error) {
+		db, _, err := spatialjoin.ReopenAt(f.opts.Config, f.disk, f.applied)
+		return db, f.disk, err
+	})
 }
 
 // snapReader adapts a run of SnapChunk frames into an io.Reader that ends
@@ -615,19 +569,34 @@ type snapReader struct {
 	buf  []byte
 	next uint64
 	done bool
+	err  error // the first failure of the link or its framing, if any
 }
 
 func (r *snapReader) Read(p []byte) (int, error) {
+	if err := r.fill(); err != nil {
+		if err != io.EOF && r.err == nil {
+			r.err = err
+		}
+		return 0, err
+	}
+	n := copy(p, r.buf)
+	r.buf = r.buf[n:]
+	return n, nil
+}
+
+// fill reads frames until buffered stream bytes are available, returning
+// io.EOF after the closing Done frame.
+func (r *snapReader) fill() error {
 	for len(r.buf) == 0 {
 		if r.done {
-			return 0, io.EOF
+			return io.EOF
 		}
 		fr, err := wire.ReadFrame(r.conn, wire.MaxPayload)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if fr.Request != r.req {
-			return 0, fmt.Errorf("repl: frame for request %d on snapshot stream %d", fr.Request, r.req)
+			return fmt.Errorf("repl: frame for request %d on snapshot stream %d", fr.Request, r.req)
 		}
 		r.f.lastProgress.Store(time.Now().UnixNano())
 		switch fr.Type {
@@ -635,11 +604,11 @@ func (r *snapReader) Read(p []byte) (int, error) {
 			c, derr := wire.DecodeSnapChunk(fr.Payload)
 			if derr != nil {
 				r.f.corrupt.Add(1)
-				return 0, derr
+				return derr
 			}
 			if c.Offset != r.next {
 				r.f.corrupt.Add(1)
-				return 0, fmt.Errorf("repl: snapshot chunk at offset %d, want %d", c.Offset, r.next)
+				return fmt.Errorf("repl: snapshot chunk at offset %d, want %d", c.Offset, r.next)
 			}
 			r.next += uint64(len(c.Data))
 			r.buf = c.Data
@@ -648,19 +617,17 @@ func (r *snapReader) Read(p []byte) (int, error) {
 		case wire.TypeDone:
 			d, derr := wire.DecodeDone(fr.Payload)
 			if derr != nil {
-				return 0, derr
+				return derr
 			}
 			r.done = true
 			if d.Status != wire.StatusOK {
-				return 0, &wire.StatusError{Status: d.Status, Message: d.Message}
+				return &wire.StatusError{Status: d.Status, Message: d.Message}
 			}
 		default:
-			return 0, fmt.Errorf("repl: unexpected frame %#02x on snapshot stream", fr.Type)
+			return fmt.Errorf("repl: unexpected frame %#02x on snapshot stream", fr.Type)
 		}
 	}
-	n := copy(p, r.buf)
-	r.buf = r.buf[n:]
-	return n, nil
+	return nil
 }
 
 // drain consumes the stream through its closing Done frame; the decoders

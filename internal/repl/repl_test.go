@@ -511,3 +511,43 @@ func TestFollowerMetricsScrapableBeforeConnect(t *testing.T) {
 		t.Error("pre-connect state gauge does not read seeding")
 	}
 }
+
+// TestFollowerRejectsDeltaForSeed answers a fresh follower's full-snapshot
+// request with a well-formed delta, which has no disk to patch: the follower
+// must reject it as corrupt and stay unseeded rather than apply it.
+func TestFollowerRejectsDeltaForSeed(t *testing.T) {
+	p := startPrimary(t, nil)
+	var delta bytes.Buffer
+	if _, err := p.db.ExportDelta(&delta, p.db.DurableLSN(), nil); err != nil {
+		t.Fatal(err)
+	}
+	chunk, err := wire.EncodeSnapChunk(wire.SnapChunk{Data: delta.Bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := startFollower(t, p, func(o *FollowerOptions) {
+		o.Dial = func(context.Context) (net.Conn, error) {
+			client, server := net.Pipe()
+			go func() {
+				defer server.Close()
+				fr, err := wire.ReadFrame(server, wire.MaxPayload)
+				if err != nil {
+					return
+				}
+				if wire.WriteFrame(server, wire.Frame{Type: wire.TypeSnapChunk, Request: fr.Request, Payload: chunk}) != nil {
+					return
+				}
+				wire.WriteFrame(server, wire.Frame{Type: wire.TypeDone, Request: fr.Request,
+					Payload: wire.EncodeDone(wire.Done{Status: wire.StatusOK})})
+			}()
+			return client, nil
+		}
+	})
+	waitFor(t, "the delta to be rejected", func() bool { return f.corrupt.Load() > 0 })
+	if _, _, err := f.Acquire(); err == nil {
+		t.Error("a follower answered with only a delta serves reads")
+	}
+	if f.fullSeeds.Load() != 0 || f.deltaPages.Load() != 0 {
+		t.Errorf("delta applied: %d full seeds, %d delta pages", f.fullSeeds.Load(), f.deltaPages.Load())
+	}
+}

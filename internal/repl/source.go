@@ -1,8 +1,9 @@
 // Package repl keeps read-only replicas of a spatialjoin database
 // continuously current over the wire protocol. The primary side is a
 // Source: it serves WAL tail streams (raw CRC-checked records from a
-// requested LSN) and snapshot streams (a full device image, or a delta of
-// just the pages dirtied since the replica's last-applied LSN). The
+// requested LSN) and snapshot streams (every page of the device, or a
+// delta of just the pages dirtied since the replica's last-applied LSN,
+// in one image format). The
 // replica side is a Follower: a state machine that seeds itself from a
 // snapshot, tails the log through ordinary recovery, detects when the
 // primary has truncated the records it needs and falls back to a delta
@@ -240,7 +241,7 @@ type snapStream struct {
 }
 
 // openSnap checkpoints the primary and opens a snapshot stream covering
-// the pages dirtied since the given LSN — or a full device snapshot when
+// the pages dirtied since the given LSN — or a full snapshot when
 // since predates the tracker's horizon (in particular, since 0).
 func (s *Source) openSnap(since wal.LSN) (*snapStream, error) {
 	if s.isClosed() {

@@ -44,26 +44,13 @@ type ActiveTxn struct {
 	BeginLSN LSN
 }
 
-// ManifestCollection names one collection the checkpoint vouches for: its
-// catalog registration plus the commit LSN its heap file covers.
-type ManifestCollection struct {
-	NewCollection
-	CoveringLSN LSN
-}
-
-// ManifestJoinIndex names one join index the checkpoint vouches for.
-type ManifestJoinIndex struct {
-	NewJoinIndex
-	CoveringLSN LSN
-}
-
 // Manifest is the catalog snapshot a checkpoint carries. Truncation
 // destroys catalog records below the floor, so the manifest — not the
 // record stream — is the authoritative list of pre-checkpoint objects;
 // post-checkpoint registrations still arrive as ordinary records.
 type Manifest struct {
-	Collections []ManifestCollection
-	JoinIndices []ManifestJoinIndex
+	Collections []NewCollection
+	JoinIndices []NewJoinIndex
 }
 
 // Checkpoint is the decoded payload of a RecCheckpointEnd record.
@@ -154,13 +141,11 @@ func EncodeCheckpoint(cp Checkpoint) []byte {
 	}
 	buf = putCount(buf, len(cp.Manifest.Collections))
 	for _, c := range cp.Manifest.Collections {
-		buf = append(buf, EncodeNewCollection(c.NewCollection)...)
-		buf = putU64(buf, uint64(c.CoveringLSN))
+		buf = append(buf, EncodeNewCollection(c)...)
 	}
 	buf = putCount(buf, len(cp.Manifest.JoinIndices))
 	for _, j := range cp.Manifest.JoinIndices {
-		buf = append(buf, EncodeNewJoinIndex(j.NewJoinIndex)...)
-		buf = putU64(buf, uint64(j.CoveringLSN))
+		buf = append(buf, EncodeNewJoinIndex(j)...)
 	}
 	return buf
 }
@@ -215,24 +200,20 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 		return cp, err
 	}
 	for i := 0; i < n; i++ {
-		var c ManifestCollection
+		var c NewCollection
 		if c.Name, data, err = getString(data); err != nil {
 			return cp, err
 		}
 		if c.HeapFile, data, err = getFile(data); err != nil {
 			return cp, err
 		}
-		if v, data, err = getU64(data); err != nil {
-			return cp, err
-		}
-		c.CoveringLSN = LSN(v)
 		cp.Manifest.Collections = append(cp.Manifest.Collections, c)
 	}
 	if n, data, err = getCount(data); err != nil {
 		return cp, err
 	}
 	for i := 0; i < n; i++ {
-		var j ManifestJoinIndex
+		var j NewJoinIndex
 		if j.R, data, err = getString(data); err != nil {
 			return cp, err
 		}
@@ -245,10 +226,6 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 		if j.PairFile, data, err = getFile(data); err != nil {
 			return cp, err
 		}
-		if v, data, err = getU64(data); err != nil {
-			return cp, err
-		}
-		j.CoveringLSN = LSN(v)
 		cp.Manifest.JoinIndices = append(cp.Manifest.JoinIndices, j)
 	}
 	return cp, nil

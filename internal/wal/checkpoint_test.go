@@ -23,12 +23,8 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 			{Page: storage.PageID{File: 3, Page: 0}, RecLSN: 10500},
 		},
 		Manifest: Manifest{
-			Collections: []ManifestCollection{
-				{NewCollection: NewCollection{Name: "roads", HeapFile: 1}, CoveringLSN: 8000},
-			},
-			JoinIndices: []ManifestJoinIndex{
-				{NewJoinIndex: NewJoinIndex{R: "roads", S: "cities", Operator: "overlaps", PairFile: 4}, CoveringLSN: 9500},
-			},
+			Collections: []NewCollection{{Name: "roads", HeapFile: 1}},
+			JoinIndices: []NewJoinIndex{{R: "roads", S: "cities", Operator: "overlaps", PairFile: 4}},
 		},
 	}
 	got, err := DecodeCheckpoint(EncodeCheckpoint(cp))
@@ -310,10 +306,11 @@ func TestAbortRecordClosesTxn(t *testing.T) {
 	if got := l.Stats().Aborts; got != 1 {
 		t.Errorf("Aborts stat = %d, want 1", got)
 	}
-	_, _, rstats, err := Recover(dev, 1)
+	rec, err := RecoverWith(dev, Options{GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rstats := rec.Stats
 	if rstats.TxnsAborted != 1 || rstats.TxnsDiscarded != 0 || rstats.RecordsReplayed != 0 {
 		t.Errorf("recovery stats: %+v", rstats)
 	}
@@ -337,10 +334,11 @@ func TestLogCloseForcesDurable(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, rstats, err := Recover(dev, 1)
+	rec, err := RecoverWith(dev, Options{GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rstats := rec.Stats
 	if rstats.TxnsCommitted != 1 || rstats.RecordsReplayed != 1 {
 		t.Errorf("commit lost across clean Close: %+v", rstats)
 	}

@@ -71,24 +71,6 @@ type Result struct {
 	Stats      RecoveryStats
 }
 
-// Recover scans the log on dev, replays the page images of every committed
-// transaction onto the device, and returns a Log positioned to append after
-// the last complete record, the committed catalog records in LSN order for
-// the caller to re-register, and the recovery counters. It is the
-// checkpoint-aware RecoverWith with the compatibility signature earlier
-// callers used.
-func Recover(dev storage.Device, groupCommit int) (*Log, []Record, RecoveryStats, error) {
-	res, err := RecoverWith(dev, Options{GroupCommit: groupCommit})
-	if err != nil {
-		var stats RecoveryStats
-		if res != nil {
-			stats = res.Stats
-		}
-		return nil, nil, stats, err
-	}
-	return res.Log, res.Catalog, res.Stats, nil
-}
-
 // RecoverWith scans the log on dev and replays exactly the committed images
 // the device is missing. With a checkpoint in the log, redo is bounded: an
 // image below the checkpoint is replayed only when the dirty-page table

@@ -39,7 +39,7 @@ func TestRecoverRejectsNonLog(t *testing.T) {
 	if err := dev.WritePage(id, buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Recover(dev, 1); err == nil {
+	if _, err := RecoverWith(dev, Options{GroupCommit: 1}); err == nil {
 		t.Fatal("Recover of a non-log device succeeded")
 	}
 }
@@ -68,10 +68,11 @@ func TestCommitRoundTrip(t *testing.T) {
 		t.Errorf("stats after two fsync-every-commit txns: %+v", st)
 	}
 
-	_, catalog, rstats, err := Recover(dev, 1)
+	rec, err := RecoverWith(dev, Options{GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	catalog, rstats := rec.Catalog, rec.Stats
 	if rstats.TxnsCommitted != 2 || rstats.TxnsDiscarded != 0 {
 		t.Errorf("recovery stats: %+v", rstats)
 	}
@@ -112,10 +113,11 @@ func TestUncommittedTxnDiscarded(t *testing.T) {
 	if err := l.Sync(); err != nil { // durable, but no commit record
 		t.Fatal(err)
 	}
-	_, _, rstats, err := Recover(dev, 1)
+	rec, err := RecoverWith(dev, Options{GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rstats := rec.Stats
 	if rstats.TxnsDiscarded != 1 || rstats.TxnsCommitted != 0 || rstats.RecordsReplayed != 0 {
 		t.Errorf("recovery stats: %+v", rstats)
 	}
@@ -141,10 +143,11 @@ func TestGroupCommitBuffers(t *testing.T) {
 	if st := l.Stats(); st.Syncs != 1 { // the Create header sync only
 		t.Errorf("syncs before the group fills: %d, want 1", st.Syncs)
 	}
-	_, _, rstats, err := Recover(dev, 1)
+	rec, err := RecoverWith(dev, Options{GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rstats := rec.Stats
 	if rstats.TxnsCommitted != 0 {
 		t.Errorf("unsynced commits visible after crash: %+v", rstats)
 	}
@@ -159,10 +162,11 @@ func TestGroupCommitBuffers(t *testing.T) {
 	if st := l2.Stats(); st.Syncs != 2 {
 		t.Errorf("syncs after the group fills: %d, want 2", st.Syncs)
 	}
-	_, _, rstats2, err := Recover(dev2, 1)
+	rec2, err := RecoverWith(dev2, Options{GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rstats2 := rec2.Stats
 	if rstats2.TxnsCommitted != 4 {
 		t.Errorf("full group not durable: %+v", rstats2)
 	}
@@ -202,10 +206,11 @@ func TestTornTailPageDiscarded(t *testing.T) {
 	for p := n - 2; p < n; p++ {
 		fd.TearPage(storage.PageID{File: LogFileID, Page: int32(p)})
 	}
-	_, _, rstats, err := Recover(fd, 1)
+	rec, err := RecoverWith(fd, Options{GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rstats := rec.Stats
 	if rstats.TornPages == 0 {
 		t.Error("torn log pages not counted")
 	}
@@ -244,10 +249,11 @@ func TestResumeAfterRecovery(t *testing.T) {
 	n := fd.NumPages(LogFileID)
 	fd.TearPage(storage.PageID{File: LogFileID, Page: int32(n - 1)})
 
-	l2, _, rstats, err := Recover(fd, 1)
+	rec, err := RecoverWith(fd, Options{GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l2, rstats := rec.Log, rec.Stats
 	if rstats.TxnsCommitted != 1 {
 		t.Fatalf("first recovery: %+v", rstats)
 	}
@@ -256,10 +262,11 @@ func TestResumeAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, rstats2, err := Recover(fd, 1)
+	rec2, err := RecoverWith(fd, Options{GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rstats2 := rec2.Stats
 	if rstats2.TxnsCommitted != 2 {
 		t.Errorf("second recovery lost a generation: %+v", rstats2)
 	}
@@ -285,10 +292,11 @@ func TestCatalogRoundTrip(t *testing.T) {
 	if _, err := l.Commit(1); err != nil {
 		t.Fatal(err)
 	}
-	_, catalog, _, err := Recover(dev, 1)
+	rec, err := RecoverWith(dev, Options{GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	catalog := rec.Catalog
 	if len(catalog) != 2 {
 		t.Fatalf("recovered %d catalog records, want 2", len(catalog))
 	}

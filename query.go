@@ -235,9 +235,6 @@ type JoinIndex struct {
 	op   Operator
 	ix   *joinindex.Index
 	file *storage.HeapFile
-	// lastLSN is the commit LSN of the newest transaction that touched the
-	// pair file; checkpoints record it in the manifest. Guarded by db.mu.
-	lastLSN wal.LSN
 }
 
 // Pairs returns the number of precomputed matching pairs |J|.
@@ -302,7 +299,7 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 		return nil, stats, err
 	}
 	var ji *JoinIndex
-	lsn, err := db.runTxn(func(txn uint64) error {
+	err = db.runTxn(func(txn uint64) error {
 		file, err := storage.NewHeapFile(db.pool, db.cfg.FillFactor)
 		if err != nil {
 			return err
@@ -329,7 +326,6 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 		return nil, stats, err
 	}
 	db.mu.Lock()
-	ji.lastLSN = lsn
 	db.joinIndices[key] = ji
 	db.mu.Unlock()
 	return ji, stats, nil

@@ -1,6 +1,7 @@
 package spatialjoin
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,122 +11,58 @@ import (
 	"spatialjoin/internal/wal"
 )
 
-// snapMagic heads a snapshot stream: a header naming the checkpoint the
-// image is consistent as of, wrapped around a storage device image.
+// A snapshot stream is a header followed by a storage image (see
+// internal/storage/image.go). Both forms share it:
+//
+//	magic "SJSNAP1\n" | u32 version | u64 checkpoint LSN | u64 WAL durable LSN | u64 since LSN | image
+//
+// A full snapshot (since LSN 0) marks every file authoritative and seeds a
+// fresh device. A delta marks only the log authoritative, carries the data
+// pages dirtied since its since LSN, and patches a replica's own disk. The
+// image's CRC-32C trailer covers the image, not the header; the full
+// seed's checkpoint cross-check guards the header's checkpoint LSN.
 var snapMagic = []byte("SJSNAP1\n")
 
-const snapVersion = 1
+const (
+	snapVersion   = 2
+	snapHeaderLen = 36
+)
 
-// SnapshotInfo describes an exported or imported snapshot.
+// SnapshotInfo describes an exported or imported snapshot or delta.
 type SnapshotInfo struct {
 	// CheckpointLSN is the begin LSN of the checkpoint taken immediately
-	// before the image was cut; the image is consistent as of its end.
+	// before a full image was cut; the image is consistent as of its end.
+	// A delta carries 0: its replay runs over the whole shipped log.
 	CheckpointLSN wal.LSN
 	// WALDurable is the log's durable tail at export — where the replica's
 	// log resumes appending.
 	WALDurable wal.LSN
-	// Pages is the number of device pages in the image.
+	// SinceLSN is 0 for a full snapshot. For a delta it is the replica's
+	// applied LSN the delta was cut against: every data page whose latest
+	// logged image is at or above it is included.
+	SinceLSN wal.LSN
+	// Pages is the number of pages shipped; all-zero pages of an
+	// authoritative file are implied, not shipped.
 	Pages int
+	// LogPages is how many of Pages are log pages.
+	LogPages int
 }
 
-// ExportSnapshot checkpoints the database and streams a self-verifying
-// device image to w, suitable for seeding a replica with SeedFromSnapshot.
-// The checkpoint first forces everything committed onto the device and
+// ExportSnapshot checkpoints the database and streams a full, self-verifying
+// snapshot to w, suitable for seeding a replica with SeedFromSnapshot. The
+// checkpoint first forces everything committed onto the device and
 // truncates the log, so the image is both consistent and minimal; writers
 // may run concurrently — anything committed after the checkpoint's begin
 // record simply rides along in the imaged log and is replayed on the
 // replica. The stream ends in a CRC-32C trailer, so a torn or truncated
 // copy fails loudly at import instead of silently seeding a prefix.
 func (db *Database) ExportSnapshot(w io.Writer) (SnapshotInfo, error) {
-	var info SnapshotInfo
 	cs, err := db.checkpoint(true)
 	if err != nil {
-		return info, err
+		return SnapshotInfo{}, err
 	}
 	fault.CrashPoint("snapshot.export")
-	info.CheckpointLSN = cs.BeginLSN
-	info.WALDurable = wal.LSN(db.wal.DurableLSN())
-	if _, err := w.Write(snapMagic); err != nil {
-		return info, err
-	}
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:], snapVersion)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(info.CheckpointLSN))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(info.WALDurable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return info, err
-	}
-	info.Pages, err = storage.WriteDeviceImage(w, db.Device())
-	return info, err
-}
-
-// SeedFromSnapshot materializes a fresh database from a snapshot stream: a
-// brand-new healthy device is built page for page from the image, then
-// opened through ordinary checkpoint-bounded recovery — the imaged log
-// carries the checkpoint manifest and whatever committed past it. cfg
-// plays the role it does for Reopen and must match the exporter's page
-// geometry; cfg.Fault, when set, wraps the replica's device so chaos
-// harnesses can torment the seeded copy too.
-func SeedFromSnapshot(cfg Config, r io.Reader) (*Database, SnapshotInfo, error) {
-	var info SnapshotInfo
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil || string(m[:]) != string(snapMagic) {
-		return nil, info, fmt.Errorf("spatialjoin: stream is not a snapshot")
-	}
-	var hdr [20]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, info, fmt.Errorf("spatialjoin: truncated snapshot header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[0:]); v != snapVersion {
-		return nil, info, fmt.Errorf("spatialjoin: snapshot version %d, want %d", v, snapVersion)
-	}
-	info.CheckpointLSN = wal.LSN(binary.LittleEndian.Uint64(hdr[4:]))
-	info.WALDurable = wal.LSN(binary.LittleEndian.Uint64(hdr[12:]))
-	disk, err := storage.ReadDeviceImage(r)
-	if err != nil {
-		return nil, info, err
-	}
-	if disk.PageSize() != cfg.PageSize {
-		return nil, info, fmt.Errorf("spatialjoin: snapshot page size %d != configured %d",
-			disk.PageSize(), cfg.PageSize)
-	}
-	info.Pages = countPages(disk)
-	var device storage.Device = disk
-	if cfg.Fault != nil {
-		device = fault.Wrap(device, *cfg.Fault)
-	}
-	db, stats, err := Reopen(cfg, device)
-	if err != nil {
-		return nil, info, err
-	}
-	if stats.CheckpointLSN != info.CheckpointLSN {
-		// The device opened, so it must be closed: a seed that leaks its
-		// half-built database keeps the log and pool frames alive.
-		db.Close()
-		return nil, info, fmt.Errorf("spatialjoin: snapshot names checkpoint %d but recovery found %d (corrupt or mismatched stream)",
-			info.CheckpointLSN, stats.CheckpointLSN)
-	}
-	return db, info, nil
-}
-
-// deltaMagic heads a snapshot-delta stream: the same length as snapMagic,
-// so a receiver dispatches on the first eight bytes of either stream.
-var deltaMagic = []byte("SJDELTA1")
-
-const deltaVersion = 1
-
-// DeltaInfo describes an exported or applied snapshot delta.
-type DeltaInfo struct {
-	// SinceLSN is the replica's last-applied LSN the delta was cut against:
-	// every page whose latest logged image is at or above it is included.
-	SinceLSN wal.LSN
-	// WALDurable is the primary log's durable tail at export.
-	WALDurable wal.LSN
-	// DataPages is the number of dirtied data pages shipped.
-	DataPages int
-	// LogPages is the number of log pages shipped (the log travels whole —
-	// it is the delta's authority on what committed).
-	LogPages int
+	return db.writeSnapshot(w, SnapshotInfo{CheckpointLSN: cs.BeginLSN}, nil)
 }
 
 // ExportDelta streams the pages in pages plus the entire write-ahead log to
@@ -137,75 +74,134 @@ type DeltaInfo struct {
 // whatever log pages the delta does not carry, then replays the shipped log
 // end to end, which rewinds any page content newer than the shipped prefix
 // back to a consistent state the subsequent tail stream rebuilds from.
-func (db *Database) ExportDelta(w io.Writer, since wal.LSN, pages []storage.PageID) (DeltaInfo, error) {
-	var info DeltaInfo
+func (db *Database) ExportDelta(w io.Writer, since wal.LSN, pages []storage.PageID) (SnapshotInfo, error) {
 	if db.wal == nil {
-		return info, fmt.Errorf("spatialjoin: ExportDelta requires Config.WAL")
+		return SnapshotInfo{}, fmt.Errorf("spatialjoin: ExportDelta requires Config.WAL")
 	}
-	info.SinceLSN = since
+	if since == 0 {
+		return SnapshotInfo{}, fmt.Errorf("spatialjoin: a delta needs a since LSN above 0")
+	}
+	return db.writeSnapshot(w, SnapshotInfo{SinceLSN: since}, pages)
+}
+
+// writeSnapshot is the one snapshot writer: the header, then an image that
+// ships every file whole for a full snapshot, or the log whole plus pages
+// for a delta.
+func (db *Database) writeSnapshot(w io.Writer, info SnapshotInfo, pages []storage.PageID) (SnapshotInfo, error) {
 	info.WALDurable = db.wal.DurableLSN()
-	if _, err := w.Write(deltaMagic); err != nil {
+	hdr := make([]byte, snapHeaderLen)
+	copy(hdr, snapMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], snapVersion)
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(info.CheckpointLSN))
+	binary.LittleEndian.PutUint64(hdr[20:], uint64(info.WALDurable))
+	binary.LittleEndian.PutUint64(hdr[28:], uint64(info.SinceLSN))
+	if _, err := w.Write(hdr); err != nil {
 		return info, err
 	}
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:], deltaVersion)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(info.SinceLSN))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(info.WALDurable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return info, err
-	}
-	var err error
-	info.DataPages, info.LogPages, err = storage.WritePageSetImage(
-		w, db.Device(), pages, []storage.FileID{wal.LogFileID})
+	full := info.SinceLSN == 0
+	ids, err := storage.WriteImage(w, db.Device(), pages, func(f storage.FileID) bool {
+		return full || f == wal.LogFileID
+	})
+	info.Pages, info.LogPages = countShipped(ids)
 	return info, err
 }
 
-// ApplySnapshotDelta patches a replica's raw disk in place from a delta
-// stream. The caller must have closed the database using the disk first and
-// must reopen it through full-log recovery (ReopenAt with floor 1) after:
-// the shipped log is the only authority on which of the patched pages'
-// contents are committed. On error the disk may be half-patched and must be
-// discarded in favor of a full reseed.
-func ApplySnapshotDelta(disk *storage.Disk, r io.Reader) (DeltaInfo, error) {
-	var info DeltaInfo
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil || string(m[:]) != string(deltaMagic) {
-		return info, fmt.Errorf("spatialjoin: stream is not a snapshot delta")
+// Snapshot is a snapshot stream read and verified in full. Nothing has
+// been written anywhere until Seed or Patch applies it.
+type Snapshot struct {
+	Info SnapshotInfo
+	img  *storage.Image
+}
+
+// ReadSnapshot is the one snapshot reader: it checks the header, then reads
+// the image through its trailer and verifies it (checksum, page geometry,
+// entry order) before returning, so a torn or corrupt stream is rejected
+// before it can touch a device.
+func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+	hdr := make([]byte, snapHeaderLen)
+	if _, err := io.ReadFull(r, hdr[:8]); err != nil || !bytes.Equal(hdr[:8], snapMagic) {
+		return nil, fmt.Errorf("spatialjoin: stream is not a snapshot")
 	}
-	var hdr [20]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return info, fmt.Errorf("spatialjoin: truncated delta header: %w", err)
+	if _, err := io.ReadFull(r, hdr[8:]); err != nil {
+		return nil, fmt.Errorf("spatialjoin: truncated snapshot header: %w", err)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[0:]); v != deltaVersion {
-		return info, fmt.Errorf("spatialjoin: delta version %d, want %d", v, deltaVersion)
+	if v := binary.LittleEndian.Uint32(hdr[8:]); v != snapVersion {
+		return nil, fmt.Errorf("spatialjoin: snapshot version %d, want %d", v, snapVersion)
 	}
-	info.SinceLSN = wal.LSN(binary.LittleEndian.Uint64(hdr[4:]))
-	info.WALDurable = wal.LSN(binary.LittleEndian.Uint64(hdr[12:]))
+	s := &Snapshot{Info: SnapshotInfo{
+		CheckpointLSN: wal.LSN(binary.LittleEndian.Uint64(hdr[12:])),
+		WALDurable:    wal.LSN(binary.LittleEndian.Uint64(hdr[20:])),
+		SinceLSN:      wal.LSN(binary.LittleEndian.Uint64(hdr[28:])),
+	}}
 	var err error
-	info.DataPages, info.LogPages, err = storage.ApplyPageSetImage(r, disk)
-	return info, err
+	if s.img, err = storage.ReadImage(r); err != nil {
+		return nil, err
+	}
+	s.Info.Pages, s.Info.LogPages = countShipped(s.img.Pages())
+	return s, nil
 }
 
-// SniffSnapshot inspects the eight-byte prefix of a seeding stream and
-// reports whether it heads a full snapshot (true) or a snapshot delta
-// (false). Replicas use it to dispatch a resync response, since a primary
-// answers a delta request with a full snapshot when its dirty-page
-// tracking does not reach back far enough.
-func SniffSnapshot(prefix []byte) (bool, error) {
-	switch {
-	case string(prefix) == string(snapMagic):
-		return true, nil
-	case string(prefix) == string(deltaMagic):
-		return false, nil
+// Seed materializes a fresh database from a full snapshot: a brand-new
+// healthy device is written from the image, then opened through ordinary
+// checkpoint-bounded recovery — the imaged log carries the checkpoint
+// manifest and whatever committed past it. cfg plays the role it does for
+// Reopen and must match the exporter's page geometry; cfg.Fault, when set,
+// wraps the replica's device so chaos harnesses can torment the seeded copy
+// too.
+func (s *Snapshot) Seed(cfg Config) (*Database, error) {
+	if s.Info.SinceLSN != 0 {
+		return nil, fmt.Errorf("spatialjoin: a delta since LSN %d cannot seed a database", s.Info.SinceLSN)
 	}
-	return false, fmt.Errorf("spatialjoin: stream is neither a snapshot nor a delta")
+	if s.img.PageSize() != cfg.PageSize {
+		return nil, fmt.Errorf("spatialjoin: snapshot page size %d != configured %d",
+			s.img.PageSize(), cfg.PageSize)
+	}
+	disk := storage.NewDisk(cfg.PageSize)
+	if err := s.img.Apply(disk); err != nil {
+		return nil, err
+	}
+	var device storage.Device = disk
+	if cfg.Fault != nil {
+		device = fault.Wrap(device, *cfg.Fault)
+	}
+	db, stats, err := Reopen(cfg, device)
+	if err != nil {
+		return nil, err
+	}
+	if stats.CheckpointLSN != s.Info.CheckpointLSN {
+		// The device opened, so it must be closed: a seed that leaks its
+		// half-built database keeps the log and pool frames alive.
+		db.Close()
+		return nil, fmt.Errorf("spatialjoin: snapshot names checkpoint %d but recovery found %d (corrupt or mismatched stream)",
+			s.Info.CheckpointLSN, stats.CheckpointLSN)
+	}
+	return db, nil
 }
 
-// countPages totals the pages of every file on a freshly imaged disk.
-func countPages(d *storage.Disk) int {
-	total := 0
-	for f := 0; f < d.Files(); f++ {
-		total += d.NumPages(storage.FileID(f))
+// Patch writes the snapshot onto a replica's raw disk in place. The caller
+// must have closed the database using the disk first and must reopen it
+// through full-log recovery (ReopenAt with floor 1) after: the shipped log
+// is the only authority on which of the patched pages' contents are
+// committed.
+func (s *Snapshot) Patch(disk *storage.Disk) error { return s.img.Apply(disk) }
+
+// SeedFromSnapshot reads a full snapshot stream and seeds a fresh database
+// from it (ReadSnapshot, then Seed).
+func SeedFromSnapshot(cfg Config, r io.Reader) (*Database, SnapshotInfo, error) {
+	s, err := ReadSnapshot(r)
+	if err != nil {
+		return nil, SnapshotInfo{}, err
 	}
-	return total
+	db, err := s.Seed(cfg)
+	return db, s.Info, err
+}
+
+// countShipped splits shipped pages into the total and the log's share.
+func countShipped(ids []storage.PageID) (pages, logPages int) {
+	for _, id := range ids {
+		if id.File == wal.LogFileID {
+			logPages++
+		}
+	}
+	return len(ids), logPages
 }

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"spatialjoin/internal/storage"
 )
 
 // exportWorkload runs the full crash workload and exports a snapshot,
@@ -191,6 +193,53 @@ func TestSeedFailuresReleaseResources(t *testing.T) {
 		t.Fatalf("clean seed after the failure sweep: %v", err)
 	}
 	mustMatch(t, replica, final, "replica seeded after failures")
+}
+
+// TestFullSnapshotShipsNoZeroPage exports after the export's truncating
+// checkpoint has zeroed most of the log: the snapshot must ship exactly the
+// device's non-zero pages, and a delta must not be mistaken for a seed.
+func TestFullSnapshotShipsNoZeroPage(t *testing.T) {
+	cfg := crashConfig(1, 1)
+	cfg.Fault = nil
+	src, stream, final := exportWorkload(t, cfg)
+	snap, err := ReadSnapshot(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	disk := src.Device().(*storage.Disk)
+	zeroSum := storage.PageChecksum(make([]byte, cfg.PageSize))
+	total, nonZero, logPages := 0, 0, 0
+	for f := 0; f < disk.Files(); f++ {
+		for p := 0; p < disk.NumPages(storage.FileID(f)); p++ {
+			total++
+			if sum, _ := disk.Checksum(storage.PageID{File: storage.FileID(f), Page: int32(p)}); sum != zeroSum {
+				nonZero++
+				if f == 0 {
+					logPages++
+				}
+			}
+		}
+	}
+	if snap.Info.Pages != nonZero || snap.Info.LogPages != logPages {
+		t.Errorf("snapshot ships %d pages (%d log), want the device's %d non-zero pages (%d log)",
+			snap.Info.Pages, snap.Info.LogPages, nonZero, logPages)
+	}
+	if nonZero >= total {
+		t.Fatalf("no zeroed page on a %d-page device: the truncating checkpoint did nothing", total)
+	}
+	replica, err := snap.Seed(cfg)
+	if err != nil {
+		t.Fatalf("Seed: %v", err)
+	}
+	mustMatch(t, replica, final, "replica seeded from the zero-free image")
+
+	var delta bytes.Buffer
+	if _, err := src.ExportDelta(&delta, src.DurableLSN(), nil); err != nil {
+		t.Fatalf("ExportDelta: %v", err)
+	}
+	if _, _, err := SeedFromSnapshot(cfg, &delta); err == nil || !strings.Contains(err.Error(), "cannot seed") {
+		t.Errorf("seeding from a delta: err = %v, want a refusal", err)
+	}
 }
 
 // settledTestGoroutines samples the goroutine count until it stops

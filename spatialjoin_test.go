@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T) *Database {
@@ -49,6 +50,37 @@ func TestOpenValidation(t *testing.T) {
 		cfg.IndexOptions = DefaultConfig().IndexOptions
 		if _, err := Open(cfg); err == nil {
 			t.Errorf("config %d must be rejected", i)
+		}
+	}
+}
+
+// TestReopenValidatesLikeOpen checks that Reopen refuses every
+// configuration Open refuses, negative workers and query timeouts included.
+func TestReopenValidatesLikeOpen(t *testing.T) {
+	good := DefaultConfig()
+	good.WAL = true
+	db, err := Open(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]func(*Config){
+		"zero buffer pages":     func(c *Config) { c.BufferPages = 0 },
+		"zero fill factor":      func(c *Config) { c.FillFactor = 0 },
+		"join index order 1":    func(c *Config) { c.JoinIndexOrder = 1 },
+		"negative workers":      func(c *Config) { c.Workers = -1 },
+		"negative QueryTimeout": func(c *Config) { c.QueryTimeout = -time.Second },
+	}
+	for name, mutate := range bad {
+		cfg := good
+		mutate(&cfg)
+		if _, err := Open(cfg); err == nil {
+			t.Errorf("%s: Open accepted it", name)
+		}
+		if _, _, err := Reopen(cfg, db.Device()); err == nil {
+			t.Errorf("%s: Reopen accepted it", name)
 		}
 	}
 }
